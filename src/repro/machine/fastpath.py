@@ -711,6 +711,109 @@ def _eval_exact(form, head, steps):
 # ----------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _WordSet:
+    """Word indices ``lo + u * (i * r + e)`` for ``i < n``, ``e < m``.
+
+    The closed form of one memory position's words over a whole skip,
+    ``{w0 + j * wstep + e * stride : j < k, e < vl}``.  With ``n == 1``
+    it is one arithmetic progression (and ``r == m``): an invariant
+    address, a scalar stream, or strips that tile (``|wstep|`` equal to
+    ``|stride| * vl``).  With ``n > 1`` it is ``n`` runs of ``m``
+    lattice words whose starts are ``r > m`` lattice steps apart: the
+    gapped strips of a VL below the strip step.  ``u == 0`` marks any
+    other shape, of which only the span ``[lo, hi]`` is known.
+    """
+
+    lo: int
+    hi: int
+    u: int = 0
+    r: int = 0
+    n: int = 0
+    m: int = 0
+
+    @classmethod
+    def of(cls, w0: int, wstep: int, k: int, stride: int,
+           vl: int) -> "_WordSet":
+        lo = w0 + min(0, wstep * (k - 1)) + min(0, stride * (vl - 1))
+        hi = w0 + max(0, wstep * (k - 1)) + max(0, stride * (vl - 1))
+        axes = sorted((abs(step), count)
+                      for step, count in ((wstep, k), (stride, vl))
+                      if step and count > 1)
+        if not axes:
+            return cls(lo, hi, 1, 1, 1, 1)
+        small, runs = axes[0]
+        if len(axes) == 1:
+            return cls(lo, hi, small, runs, 1, runs)
+        big, count = axes[1]
+        if big % small:
+            return cls(lo, hi)
+        r = big // small
+        if r <= runs:  # the runs touch or overlap: one progression
+            m = (count - 1) * r + runs
+            return cls(lo, hi, small, m, 1, m)
+        return cls(lo, hi, small, r, count, runs)
+
+    @property
+    def size(self) -> int:
+        return self.n * self.m
+
+    def lines(self) -> list[tuple[int, int, int]]:
+        """The set as progressions ``(start, step, count)``."""
+        if self.n == 1:
+            return [(self.lo, self.u, self.m)]
+        step = self.u * self.r
+        return [(self.lo + self.u * e, step, self.n) for e in range(self.m)]
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """``sum((a * i + b) // m for i in range(n))`` in O(log m) steps."""
+    total = 0
+    while True:
+        q, a = divmod(a, m)
+        total += n * (n - 1) // 2 * q
+        q, b = divmod(b, m)
+        total += n * q
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
+
+
+def _line_meets(x0: int, v: int, c: int, s: _WordSet) -> bool:
+    """Whether some ``x0 + v * t`` with ``t < c`` (``v > 0``) is in ``s``."""
+    # on s's lattice: v * t = s.lo - x0 (mod s.u), so t = t0 + period * j
+    g = math.gcd(v, s.u)
+    if (s.lo - x0) % g:
+        return False
+    period = s.u // g
+    t0 = (s.lo - x0) // g * pow(v // g, -1, period) % period
+    # lattice coordinate y = (x - s.lo) / s.u = y0 + d * j
+    d = v // g
+    y0 = (x0 + v * t0 - s.lo) // s.u
+    first = max(0, -(y0 // d))
+    last = min((c - 1 - t0) // period,
+               ((s.n - 1) * s.r + s.m - 1 - y0) // d)
+    if first > last:
+        return False
+    # some y in a run: y mod r < m, i.e. y // r - (y - m) // r == 1
+    count = last - first + 1
+    y = y0 + d * first
+    return _floor_sum(count, s.r, d, y) > _floor_sum(count, s.r, d, y - s.m)
+
+
+def _meets(a: _WordSet, b: _WordSet) -> bool:
+    """Whether two word sets share a word; declines if undecidable."""
+    if a.hi < b.lo or b.hi < a.lo:
+        return False
+    if not (a.u and b.u):
+        raise _Decline("mem-shape")
+    if len(a.lines()) > len(b.lines()):
+        a, b = b, a
+    return any(_line_meets(x0, v, c, b) for x0, v, c in a.lines())
+
+
 @dataclass
 class _MemTemplate:
     """Resolved word addresses for one memory position over the skip."""
@@ -728,19 +831,22 @@ def _memory_pass(plan: _LoopPlan, S, steps, k: int, memory):
     """Resolve every memory position to concrete word indices.
 
     Declines unless all addresses are affine in the head state, word
-    aligned and in bounds for the whole skip, all stores land on
-    pairwise-distinct words (except the exactly-repeating wstep==0
-    case, where only the last iteration survives), and no load touches
-    a stored word.  Raises before any state is mutated.
+    aligned and in bounds for the whole skip, each store writes a word
+    at most once (except the exactly-repeating wstep==0 case, where
+    only the last iteration survives), no two stores share a word, and
+    no load touches a stored word.  The disjointness proof is integer
+    arithmetic over each position's :class:`_WordSet`; it never
+    enumerates addresses, and declines as ``mem-shape`` where the
+    shapes fall outside that form.  Raises before any state is mutated.
+    The index arrays serve the value pass's gathers and scatters.
     """
     templates: list[_MemTemplate] = []
     if not plan.mem_pos:
         return templates
     head = plan.head_values
-    size = memory.size_words
     jvec = np.arange(k, dtype=np.int64)
-    load_sets = []
-    store_sets = []
+    loads: list[_WordSet] = []
+    stores: list[_WordSet] = []
     for pos in sorted(plan.mem_pos):
         kind, addr, stride, vl = plan.mem_pos[pos]
         _require_stable(addr, S, "mem-addr-unstable")
@@ -752,52 +858,40 @@ def _memory_pass(plan: _LoopPlan, S, steps, k: int, memory):
             raise _Decline("mem-unaligned")
         w0 = a0 // 8
         wstep = astep // 8
+        if vl <= 0:
+            raise _Decline("vl-nonpositive")
+        if kind == "stv" and stride == 0 and vl > 1:
+            # all elements target one word; NumPy scatter order is
+            # unspecified, so mirror-exactness cannot be proven
+            raise _Decline("store-stride0")
+        words = _WordSet.of(w0, wstep, k, stride, vl)
+        if words.lo < 0 or words.hi >= memory.size_words:
+            raise _Decline("mem-oob")
         if kind in ("ldv", "stv"):
-            if vl <= 0:
-                raise _Decline("vl-nonpositive")
-            if kind == "stv" and stride == 0 and vl > 1:
-                # all elements target one word; NumPy scatter order is
-                # unspecified, so mirror-exactness cannot be proven
-                raise _Decline("store-stride0")
-            lo = w0 + min(0, wstep * (k - 1)) + min(0, stride * (vl - 1))
-            hi = w0 + max(0, wstep * (k - 1)) + max(0, stride * (vl - 1))
-            if lo < 0 or hi >= size:
-                raise _Decline("mem-oob")
             elem = np.arange(vl, dtype=np.int64) * stride
             if wstep == 0:
                 idx = w0 + elem  # identical every iteration
             else:
                 idx = (w0 + jvec[:, None] * wstep) + elem[None, :]
+        elif wstep == 0:
+            idx = np.array([w0], dtype=np.int64)
         else:
-            lo = min(w0, w0 + wstep * (k - 1))
-            hi = max(w0, w0 + wstep * (k - 1))
-            if lo < 0 or hi >= size:
-                raise _Decline("mem-oob")
-            if wstep == 0:
-                idx = np.array([w0], dtype=np.int64)
-            else:
-                idx = w0 + jvec * wstep
+            idx = w0 + jvec * wstep
         templates.append(_MemTemplate(kind, pos, w0, wstep, stride, vl, idx))
-        flat = np.unique(idx.ravel())
         if kind in ("stv", "sts"):
-            if wstep != 0 and flat.size != idx.size:
+            if not words.u:
+                raise _Decline("mem-shape")
+            if words.size != (k if wstep else 1) * vl:
                 # a word written twice across the skip: scatter order
                 # would matter
                 raise _Decline("store-overlap")
-            store_sets.append(flat)
+            stores.append(words)
         else:
-            load_sets.append(flat)
-    if store_sets:
-        all_stores = np.concatenate(store_sets)
-        unique_stores = np.unique(all_stores)
-        if unique_stores.size != all_stores.size:
-            raise _Decline("store-overlap")
-        if load_sets:
-            all_loads = np.unique(np.concatenate(load_sets))
-            if np.intersect1d(
-                unique_stores, all_loads, assume_unique=True
-            ).size:
-                raise _Decline("load-store-overlap")
+            loads.append(words)
+    if any(_meets(a, b) for i, a in enumerate(stores) for b in stores[:i]):
+        raise _Decline("store-overlap")
+    if any(_meets(a, b) for a in stores for b in loads):
+        raise _Decline("load-store-overlap")
     return templates
 
 
