@@ -20,18 +20,17 @@ The subsystem layers, bottom to top:
 Entry points: :func:`analyze_program` (memoized CFG + dataflow),
 :func:`lint_program`, :func:`static_counts`,
 :func:`static_critical_path`, and
-:func:`~repro.analysis.staticpred.predict_program`.  The memo is
-keyed by program identity
-and dropped by :func:`clear_analysis_cache` (wired into
-``repro.workloads.clear_caches``).
+:func:`~repro.analysis.staticpred.predict_program`.  The memo is a
+registered :class:`repro.memo.Memo` keyed by program identity, so
+``repro.workloads.clear_caches`` drops it with every other memo.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+from .. import memo
 from ..isa.program import Program
 from ..isa.registers import VECTOR_REGISTER_LENGTH
 from .cfg import CFG, BasicBlock, Loop, build_cfg
@@ -69,7 +68,6 @@ __all__ = [
     "StripInfo",
     "analyze_program",
     "build_cfg",
-    "clear_analysis_cache",
     "find_strip_loop",
     "lint_program",
     "predict_program",
@@ -91,8 +89,10 @@ class ProgramAnalysis:
         return find_strip_loop(self.cfg, self.dataflow)
 
 
-_ANALYSIS_CACHE: "weakref.WeakKeyDictionary[Program, ProgramAnalysis]" = (
-    weakref.WeakKeyDictionary()
+#: Keyed by the ``Program`` object (identity hash); holding the key
+#: keeps the identity valid until the entry is evicted.
+_ANALYSIS_CACHE: memo.Memo[Program, ProgramAnalysis] = memo.Memo(
+    "analysis.program", 256
 )
 
 
@@ -105,18 +105,8 @@ def analyze_program(program: Program) -> ProgramAnalysis:
     analysis = ProgramAnalysis(
         program=program, cfg=cfg, dataflow=solve(cfg)
     )
-    _ANALYSIS_CACHE[program] = analysis
+    _ANALYSIS_CACHE.put(program, analysis)
     return analysis
-
-
-def clear_analysis_cache() -> None:
-    """Drop all memoized program analyses."""
-    _ANALYSIS_CACHE.clear()
-
-
-def analysis_cache_size() -> int:
-    """Number of programs currently memoized (for cache tests)."""
-    return len(_ANALYSIS_CACHE)
 
 
 def lint_program(

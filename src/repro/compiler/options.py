@@ -69,3 +69,59 @@ class CompilerOptions:
 
 
 DEFAULT_OPTIONS = CompilerOptions()
+
+
+def parse_options(text: str) -> CompilerOptions:
+    """Parse ``--options "key=value,key=value"`` into CompilerOptions.
+
+    Booleans accept true/false/1/0/yes/no; ``reduction_style`` takes
+    the enum values (auto, partial-sums, direct-sum).  Raises
+    :class:`ValueError` with an actionable message on malformed input.
+    """
+    fields = {f.name for f in dataclasses.fields(DEFAULT_OPTIONS)}
+    changes = {}
+    for item in text.split(","):
+        item = item.strip()
+        if not item:
+            continue
+        name, separator, raw = item.partition("=")
+        name = name.strip().replace("-", "_")
+        raw = raw.strip()
+        if not separator or not name or not raw:
+            raise ValueError(
+                f"malformed --options item {item!r}; expected key=value"
+            )
+        if name not in fields:
+            raise ValueError(
+                f"unknown compiler option {name!r}; known: "
+                f"{', '.join(sorted(fields))}"
+            )
+        default = getattr(DEFAULT_OPTIONS, name)
+        if isinstance(default, bool):
+            lowered = raw.lower()
+            if lowered in ("true", "1", "yes"):
+                changes[name] = True
+            elif lowered in ("false", "0", "no"):
+                changes[name] = False
+            else:
+                raise ValueError(
+                    f"option {name!r} expects a boolean, got {raw!r}"
+                )
+        elif isinstance(default, int):
+            try:
+                changes[name] = int(raw)
+            except ValueError:
+                raise ValueError(
+                    f"option {name!r} expects an integer, got {raw!r}"
+                ) from None
+        elif isinstance(default, ReductionStyle):
+            try:
+                changes[name] = ReductionStyle(raw)
+            except ValueError:
+                raise ValueError(
+                    f"option {name!r} expects one of "
+                    f"{[s.value for s in ReductionStyle]}, got {raw!r}"
+                ) from None
+        else:
+            changes[name] = raw
+    return DEFAULT_OPTIONS.replace(**changes)

@@ -34,6 +34,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from .. import memo
 from ..errors import ExperimentError
 from ..resilience.store import atomic_write_text
 from ..service.client import offline_response
@@ -54,14 +55,16 @@ DEFAULT_VARIANTS = ("default", "reuse", "tight-sregs",
 #: Not every kernel x variant pair is servable (a register-hungry
 #: kernel under ``tight-sregs`` errors out, for example), and the
 #: byte-identity gate needs every frame to have an ``ok`` oracle body.
-_VIABLE: dict[str, bool] = {}
+_VIABLE = memo.Memo("fleet.viable", 4096)
 
 
 def _frame_viable(kind: str, params: dict) -> bool:
     key = canonicalize(kind, dict(params)).key
-    if key not in _VIABLE:
-        _VIABLE[key] = offline_response(kind, dict(params)).ok
-    return _VIABLE[key]
+    viable = _VIABLE.get(key)
+    if viable is None:
+        viable = offline_response(kind, dict(params)).ok
+        _VIABLE.put(key, viable)
+    return viable
 
 
 def make_population(kinds=DEFAULT_KINDS, kernels=None,

@@ -32,7 +32,6 @@ The model reproduces the paper's §3.3 behaviours:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from ..errors import SimulationError
 from ..isa.instructions import Instruction, Pipe
@@ -40,16 +39,10 @@ from ..isa.registers import Register, RegisterClass
 from .cache import ScalarCache
 from .config import MachineConfig
 from .memory import MemorySystem
-from .semantics import DecodedInstruction, decode_instruction
+from .semantics import DecodedInstruction
 
 #: Display order of the pipes, fixed for fingerprint stability.
 _PIPES = tuple(Pipe)
-
-
-@lru_cache(maxsize=4096)
-def _decoded_timing(instr: Instruction) -> DecodedInstruction:
-    """Layout-free decoded record (timing metadata only), cached."""
-    return decode_instruction(instr)
 
 
 @dataclass
@@ -250,13 +243,6 @@ class TimingModel:
                 ready = t
         return ready
 
-    def time_vector(
-        self, state: PipelineState, instr: Instruction, pc: int, vl: int
-    ) -> InstructionTiming:
-        d = _decoded_timing(instr)
-        timing = self.config.timings.lookup(d.timing_key)
-        return self.time_vector_decoded(state, d, timing, pc, vl)
-
     def time_vector_decoded(
         self, state: PipelineState, d: DecodedInstruction, timing,
         pc: int, vl: int, record: bool = True,
@@ -359,15 +345,6 @@ class TimingModel:
     # ------------------------------------------------------------------
     # Scalar instructions
     # ------------------------------------------------------------------
-
-    def time_scalar(
-        self, state: PipelineState, instr: Instruction, pc: int,
-        branch_taken: bool = False,
-        word_address: int | None = None,
-    ) -> InstructionTiming:
-        return self.time_scalar_decoded(
-            state, _decoded_timing(instr), pc, branch_taken, word_address
-        )
 
     def time_scalar_decoded(
         self, state: PipelineState, d: DecodedInstruction, pc: int,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 
+from .. import memo
 from ..compiler.options import CompilerOptions
 from ..errors import MachineFileError
 from ..machine.config import MachineConfig
@@ -22,7 +23,7 @@ from .schema import MachineDescription
 #: Directory holding the shipped ``*.toml`` machine files.
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
-_BUILTIN_CACHE: dict[str, MachineDescription] = {}
+_BUILTIN_CACHE = memo.Memo("machines.builtin", 64)
 
 
 def builtin_names() -> list[str]:
@@ -69,7 +70,7 @@ def builtin_machine(name: str) -> MachineDescription:
         config=description.config,
         source="<builtin>",
     )
-    _BUILTIN_CACHE[name] = description
+    _BUILTIN_CACHE.put(name, description)
     return description
 
 

@@ -52,10 +52,8 @@ from .macs import (
 )
 from .statictier import (
     StaticKernelPrediction,
-    clear_static_cache,
     known_initial_memory,
     predict_kernel,
-    static_cache_size,
 )
 
 __all__ = [
@@ -78,7 +76,6 @@ __all__ = [
     "analyze_workload",
     "calibrate_all",
     "calibrate_instruction",
-    "clear_static_cache",
     "compare_with_table1",
     "execute_only_program",
     "extended_macs_bound",
@@ -95,6 +92,5 @@ __all__ = [
     "measure_ax",
     "predict_kernel",
     "render_hierarchy",
-    "static_cache_size",
     "workload_hmean_mflops",
 ]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .. import memo
 from ..errors import ModelError
 from ..isa.instructions import Instruction
 from ..isa.program import Program
@@ -108,9 +109,10 @@ class AXMeasurement:
 
 #: Memoized A/X runs — several experiments measure the same kernels.
 #: Values hold a strong reference to ``compiled`` so the id-based key
-#: stays valid; cleared via ``repro.workloads.runner.clear_caches``.
-_AX_CACHE: dict = {}
-_AX_CACHE_MAX = 128
+#: stays valid.
+_AX_CACHE: memo.Memo[
+    tuple[object, ...], tuple[CompiledKernel, AXMeasurement]
+] = memo.Memo("model.ax", 128)
 
 
 def measure_ax(
@@ -124,9 +126,7 @@ def measure_ax(
     if hit is not None:
         return hit[1]
     measurement = _measure_ax(spec, compiled, config)
-    if len(_AX_CACHE) >= _AX_CACHE_MAX:
-        _AX_CACHE.clear()
-    _AX_CACHE[key] = (compiled, measurement)
+    _AX_CACHE.put(key, (compiled, measurement))
     return measurement
 
 

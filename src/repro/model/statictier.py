@@ -11,18 +11,17 @@ run, and returns everything as one frozen
 :class:`StaticKernelPrediction`.
 
 Results are memoized on (kernel content, options, config) — the same
-key discipline as ``run_kernel`` — and the memo participates in
-``repro.workloads.clear_caches`` so forked sweep workers and service
-processes can never serve a stale prediction after a machine-config
-change.
+key discipline as ``run_kernel`` — in a registered
+:class:`repro.memo.Memo`, so ``repro.workloads.clear_caches`` and every
+fork drop it with the other memos.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
+from .. import memo
 from ..analysis.staticpred import StaticPrediction, predict_program
 from ..compiler import CompiledKernel, CompilerOptions, DEFAULT_OPTIONS
 from ..compiler.scalar import LITERALS_SYMBOL, SCALARS_SYMBOL
@@ -34,24 +33,13 @@ from .hierarchy import KernelAnalysis, analyze_kernel
 
 __all__ = [
     "StaticKernelPrediction",
-    "clear_static_cache",
     "known_initial_memory",
     "predict_kernel",
-    "static_cache_size",
 ]
 
-_STATIC_CACHE: OrderedDict[Any, "StaticKernelPrediction"] = OrderedDict()
-_STATIC_CACHE_MAX = 256
-
-
-def clear_static_cache() -> None:
-    """Drop all memoized static predictions (config-change safety)."""
-    _STATIC_CACHE.clear()
-
-
-def static_cache_size() -> int:
-    """Number of memoized predictions (for cache tests)."""
-    return len(_STATIC_CACHE)
+_STATIC_CACHE: memo.Memo[tuple[object, ...], StaticKernelPrediction] = (
+    memo.Memo("model.static", 256)
+)
 
 
 def known_initial_memory(
@@ -200,7 +188,7 @@ def predict_kernel(
     requests are dictionary lookups.
     """
     from ..workloads import workload
-    from ..workloads.runner import _spec_key, compile_spec, sized_spec
+    from ..workloads.runner import compile_spec, sized_spec, spec_key
 
     spec = (
         spec_or_name
@@ -211,10 +199,9 @@ def predict_kernel(
     )
     if n is not None:
         spec = sized_spec(spec, n)
-    key = (_spec_key(spec), options, config)
+    key = (spec_key(spec), options, config)
     hit = _STATIC_CACHE.get(key)
     if hit is not None:
-        _STATIC_CACHE.move_to_end(key)
         return hit
 
     compiled = compile_spec(spec, options)
@@ -251,7 +238,5 @@ def predict_kernel(
         advice=advice,
         config=config,
     )
-    _STATIC_CACHE[key] = result
-    if len(_STATIC_CACHE) > _STATIC_CACHE_MAX:
-        _STATIC_CACHE.popitem(last=False)
+    _STATIC_CACHE.put(key, result)
     return result

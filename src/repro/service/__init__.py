@@ -18,8 +18,7 @@ Public surface:
   :class:`ServiceConfig`, :func:`serve`, :func:`start_in_thread`;
 * :mod:`~repro.service.client` — :class:`ServiceClient`,
   :func:`offline_response`;
-* :mod:`~repro.service.cache` — :class:`ResultCache`,
-  :func:`clear_service_caches`;
+* :mod:`~repro.service.cache` — :class:`ResultCache`;
 * :mod:`~repro.service.admission` — :class:`AdmissionController`;
 * :mod:`~repro.service.singleflight` — :class:`SingleFlight`;
 * :mod:`~repro.service.metrics` — :class:`ServiceMetrics`;
@@ -35,8 +34,7 @@ or worker process; a sampling calibration loop replays a fraction of
 requests exactly and records static-vs-exact deltas in a durable
 agreement ledger.
 
-Submodules load lazily so importing :mod:`repro.workloads` (whose
-``clear_caches`` resets the service result cache) never drags asyncio
+Submodules load lazily so importing :mod:`repro.service` never drags asyncio
 machinery into the base import graph.
 """
 
@@ -51,7 +49,6 @@ _EXPORTS = {
     "CONTROL_KINDS": "protocol",
     "execute_request": "jobs",
     "ResultCache": "cache",
-    "clear_service_caches": "cache",
     "AdmissionController": "admission",
     "SingleFlight": "singleflight",
     "ServiceMetrics": "metrics",

@@ -14,24 +14,25 @@ Persistence is observability-grade resilient: a failing append
 to memory-only instead of failing the request — the result was already
 computed; losing durability must not lose the response.
 
-``clear_caches()`` (in :mod:`repro.workloads.runner`) calls
-:func:`clear_service_caches`, and forked worker processes drop every
-live cache's state at fork: a child that inherited the parent's
-entries would serve "cached" results it never computed, and an
-inherited log handle would corrupt the parent's file.
+The in-memory entries are a registered :class:`repro.memo.Memo`, so
+``repro.workloads.clear_caches()`` clears every live cache with the
+other memos.  Forked children also drop every live cache's entries and
+detach (never close) its log at fork: a child that inherited the
+parent's entries would serve "cached" results it never computed, and
+an inherited log handle would corrupt the parent's file.
 """
 
 from __future__ import annotations
 
 import os
 import weakref
-from collections import OrderedDict
 
+from .. import memo
 from ..errors import ExperimentError
 from ..resilience import faults as _faults
 from ..resilience.store import DurableLog, RecoveryReport
 
-#: Every live cache, so process-wide resets can find them all.
+#: Every live cache, so the fork hook can detach their logs.
 _LIVE: "weakref.WeakSet[ResultCache]" = weakref.WeakSet()
 
 
@@ -57,12 +58,10 @@ class ResultCache:
             )
         self.max_entries = max_entries
         self.path = path
-        self.hits = 0
-        self.misses = 0
         #: why persistence was dropped, or None while healthy
         self.degraded: str | None = None
         self.last_recovery: RecoveryReport | None = None
-        self._entries: OrderedDict[str, dict] = OrderedDict()
+        self._entries = memo.Memo("service.results", max_entries)
         self._log: DurableLog | None = None
         if path is not None:
             self._log = DurableLog(path, fsync=fsync, checksum=True)
@@ -76,14 +75,7 @@ class ResultCache:
         records, report = self._log.recover(validate=_validate_record)
         self.last_recovery = report
         for record in records:
-            key = record["key"]
-            self._entries.pop(key, None)
-            self._entries[key] = {
-                "kind": record.get("kind", ""),
-                "body": record["body"],
-            }
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
+            self._entries.put(record["key"], record["body"])
 
     def _persist(self, key: str, kind: str, body: dict) -> None:
         if self._log is None or self.degraded is not None:
@@ -108,22 +100,21 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    @property
+    def hits(self) -> int:
+        return self._entries.hits
+
+    @property
+    def misses(self) -> int:
+        return self._entries.misses
+
     def get(self, key: str) -> dict | None:
         """The cached body for ``key``, or None (counts hit/miss)."""
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry["body"]
+        return self._entries.get(key)
 
     def put(self, key: str, kind: str, body: dict) -> None:
         """Insert a computed body (evicts LRU, appends durably)."""
-        self._entries.pop(key, None)
-        self._entries[key] = {"kind": kind, "body": body}
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
+        self._entries.put(key, body)
         self._persist(key, kind, body)
 
     @property
@@ -142,40 +133,22 @@ class ResultCache:
             "degraded": self.degraded,
         }
 
-    def clear(self) -> None:
-        """Drop every entry and the hit/miss counters (not the log:
-        the durable record of computed results remains valid)."""
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-
     def close(self) -> None:
         if self._log is not None:
             self._log.close()
 
-    def _reset_in_child(self) -> None:
-        """Fork-time reset: cold entries, detached (never closed)
-        log handle — the parent still owns the file descriptor."""
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-        if self._log is not None:
-            self._log.detach()
-            self._log = None
-
-
-def clear_service_caches() -> None:
-    """Clear every live service result cache (see ``clear_caches``)."""
-    for cache in list(_LIVE):
-        cache.clear()
-
 
 def _reset_caches_in_children() -> None:
+    """Fork-time reset: cold entries and a detached (never closed) log
+    handle — the parent still owns the file descriptor.  The entries
+    are also cleared by ``clear_caches`` at fork, but only once
+    :mod:`repro.workloads` is imported, and the service frontend can
+    fork its worker pool before that."""
     for cache in list(_LIVE):
-        cache._reset_in_child()
+        cache._entries.clear()
+        if cache._log is not None:
+            cache._log.detach()
+            cache._log = None
 
 
-# Forked workers must start with cold service caches and no shared log
-# handles (mirrors the compile/run-cache fork hygiene in
-# repro.workloads.runner).
 os.register_at_fork(after_in_child=_reset_caches_in_children)

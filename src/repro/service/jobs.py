@@ -57,7 +57,7 @@ def _config_from_payload(payload: dict):
 
 def _compute_task_kind(payload: dict) -> dict:
     """``run`` / ``bound`` / ``mac`` — one sweep-engine cell."""
-    from ..sweep.scheduler import _compute_metrics
+    from ..sweep.scheduler import compute_metrics
     from ..sweep.spec import SweepTask
 
     task = SweepTask(
@@ -71,7 +71,7 @@ def _compute_task_kind(payload: dict) -> dict:
         "kernel": payload["kernel"],
         "mode": payload["kind"],
         "key": task.key,
-        "metrics": _compute_metrics(task),
+        "metrics": compute_metrics(task),
     }
 
 

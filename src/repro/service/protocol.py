@@ -49,7 +49,12 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
-from ..compiler.options import DEFAULT_OPTIONS, CompilerOptions, ReductionStyle
+from ..compiler.options import (
+    DEFAULT_OPTIONS,
+    CompilerOptions,
+    ReductionStyle,
+    parse_options,
+)
 from ..errors import (
     BudgetExceededError,
     ExperimentError,
@@ -157,10 +162,8 @@ def resolve_options(params: dict) -> CompilerOptions:
             )
         return resolved
     if text is not None:
-        from ..cli import _parse_options_string
-
         try:
-            return _parse_options_string(str(text))
+            return parse_options(str(text))
         except ValueError as exc:
             raise ProtocolError(str(exc)) from None
     return DEFAULT_OPTIONS

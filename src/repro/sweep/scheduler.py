@@ -255,7 +255,7 @@ def execute_task(
         task = _dc.replace(task, config=task.config.without_fastpath())
     with tele.collecting() as task_tele:
         try:
-            payload["metrics"] = _compute_metrics(task)
+            payload["metrics"] = compute_metrics(task)
         except ReproError as exc:
             payload["status"] = "error"
             payload["error"] = f"{type(exc).__name__}: {exc}"
@@ -265,7 +265,7 @@ def execute_task(
     return payload
 
 
-def _compute_metrics(task: SweepTask) -> dict:
+def compute_metrics(task: SweepTask) -> dict:
     """The deterministic metrics for one cell, per its mode."""
     spec = _task_spec(task)
     if task.mode == "run":
@@ -306,11 +306,9 @@ def _probe_run_cache(task: SweepTask) -> bool:
     if task.mode != "run":
         return False
     try:
-        from ..workloads import runner
+        from ..workloads.runner import run_is_cached
 
-        spec = _task_spec(task)
-        key = (runner._spec_key(spec), task.options, task.config)
-        return key in runner._RUN_CACHE
+        return run_is_cached(_task_spec(task), task.options, task.config)
     except ReproError:
         return False
 

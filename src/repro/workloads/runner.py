@@ -10,21 +10,22 @@ Both :func:`compile_spec` and :func:`run_kernel` memoize: the paper's
 experiments re-run the same (kernel, options, config) triples dozens of
 times across tables/figures, and everything here is deterministic, so
 compiled kernels and whole runs are shared.  Treat cached
-:class:`KernelRun` objects as read-only; :func:`clear_caches` resets
-both caches (useful when benchmarking the simulator itself).
+:class:`KernelRun` objects as read-only.  Every memo in the package is
+a registered :class:`repro.memo.Memo`; :func:`clear_caches` clears them
+all (useful when benchmarking the simulator itself) and runs in every
+forked child.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-import sys
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..compiler import CompiledKernel, CompilerOptions, DEFAULT_OPTIONS, compile_kernel
+from .. import memo
 from ..errors import WorkloadError
 from ..machine import DEFAULT_CONFIG, MachineConfig, SimulationResult, Simulator
 from ..resilience import faults as _faults
@@ -32,58 +33,25 @@ from ..sweep import telemetry
 from ..units import MAX_VL, cycles_per_vector_iteration
 from .lfk import KernelSpec, kernel
 
-#: LRU-bounded memo tables (compilation / whole-run).  Kernel sources
-#: are small and runs hold a few arrays each, so modest caps suffice.
-_COMPILE_CACHE: OrderedDict = OrderedDict()
-_COMPILE_CACHE_MAX = 512
-_RUN_CACHE: OrderedDict = OrderedDict()
-_RUN_CACHE_MAX = 256
+#: Compilation and whole-run memos.  Kernel sources are small and runs
+#: hold a few arrays each, so modest caps suffice.
+_COMPILE_CACHE = memo.Memo("workloads.compile", 512)
+_RUN_CACHE = memo.Memo("workloads.run", 256)
 
 
 def clear_caches() -> None:
-    """Drop all memoized compilations, runs, analyses, and A/X data,
-    and deactivate any telemetry collector left over from a sweep."""
-    _COMPILE_CACHE.clear()
-    _RUN_CACHE.clear()
-    from ..analysis import clear_analysis_cache
-    from ..model import ax
-
-    ax._AX_CACHE.clear()
-    clear_analysis_cache()
-    # The static-prediction memo keys on (kernel, options, config) but
-    # a forked worker or long-lived service process must still start
-    # cold: a stale static answer is indistinguishable from a fresh
-    # one downstream, so it is dropped with everything else.
-    statictier = sys.modules.get("repro.model.statictier")
-    if statictier is not None:
-        statictier.clear_static_cache()
+    """Clear every registered memo and deactivate any telemetry
+    collector left over from a sweep."""
+    memo.clear_all()
     telemetry.reset()
-    # The analysis service's result caches participate too, but only
-    # when the service module was ever imported (keep cold starts cold).
-    service_cache = sys.modules.get("repro.service.cache")
-    if service_cache is not None:
-        service_cache.clear_service_caches()
 
 
-# The memo tables must not leak across forked workers: a child that
-# inherits the parent's caches would keep serving (and LRU-mutating)
-# objects the parent still owns, and an inherited telemetry collector
-# would write into the parent's trace file descriptor.  Every sweep
-# worker therefore starts cold.
+# Memos must not leak across forked workers: a child that inherits the
+# parent's entries would keep serving (and LRU-mutating) objects the
+# parent still owns, and an inherited telemetry collector would write
+# into the parent's trace file descriptor.  Every sweep worker therefore
+# starts cold.
 os.register_at_fork(after_in_child=clear_caches)
-
-
-def _cache_get(cache: OrderedDict, key):
-    hit = cache.get(key)
-    if hit is not None:
-        cache.move_to_end(key)
-    return hit
-
-
-def _cache_put(cache: OrderedDict, key, value, cap: int) -> None:
-    cache[key] = value
-    if len(cache) > cap:
-        cache.popitem(last=False)
 
 
 def compile_spec(
@@ -91,13 +59,13 @@ def compile_spec(
 ) -> CompiledKernel:
     """Compile a kernel spec with its required IVDEP setting (memoized)."""
     key = (spec.source, spec.name, spec.ivdep, options)
-    compiled = _cache_get(_COMPILE_CACHE, key)
+    compiled = _COMPILE_CACHE.get(key)
     if compiled is None:
         with telemetry.stage("compile"):
             compiled = compile_kernel(
                 spec.source, spec.name, options.replace(ivdep=spec.ivdep)
             )
-        _cache_put(_COMPILE_CACHE, key, compiled, _COMPILE_CACHE_MAX)
+        _COMPILE_CACHE.put(key, compiled)
     return compiled
 
 
@@ -212,7 +180,7 @@ def sized_spec(base: KernelSpec, n: int) -> KernelSpec:
     )
 
 
-def _spec_key(spec: KernelSpec) -> tuple:
+def spec_key(spec: KernelSpec) -> tuple:
     """Content key for a spec (covers everything a run depends on)."""
     return (
         spec.name,
@@ -248,13 +216,13 @@ def run_kernel(
     key = None
     if compiled is None:
         if _faults.active_plan() is None:
-            key = (_spec_key(spec), options, config)
-            hit = _cache_get(_RUN_CACHE, key)
+            key = (spec_key(spec), options, config)
+            hit = _RUN_CACHE.get(key)
             if hit is not None:
                 run, verified = hit
                 if verify and not verified:
                     run.verify()
-                    _RUN_CACHE[key] = (run, True)
+                    _RUN_CACHE.put(key, (run, True))
                 return run
         compiled = compile_spec(spec, options)
     with telemetry.stage("simulate"):
@@ -272,5 +240,14 @@ def run_kernel(
         with telemetry.stage("verify"):
             run.verify()
     if key is not None:
-        _cache_put(_RUN_CACHE, key, (run, verify), _RUN_CACHE_MAX)
+        _RUN_CACHE.put(key, (run, verify))
     return run
+
+
+def run_is_cached(
+    spec: KernelSpec,
+    options: CompilerOptions = DEFAULT_OPTIONS,
+    config: MachineConfig = DEFAULT_CONFIG,
+) -> bool:
+    """True when :func:`run_kernel` would answer from its memo."""
+    return (spec_key(spec), options, config) in _RUN_CACHE

@@ -5,10 +5,10 @@ import types
 import pytest
 
 from repro.analysis import (
+    _ANALYSIS_CACHE,
     LintOptions,
     Severity,
     analyze_program,
-    clear_analysis_cache,
     lint_program,
 )
 from repro.analysis.checks import _validate_chime, suppressed_checks
@@ -33,7 +33,7 @@ def findings_for(program, check, options=LintOptions()):
 
 
 def teardown_module():
-    clear_analysis_cache()
+    _ANALYSIS_CACHE.clear()
 
 
 class TestSeverity:

@@ -3,39 +3,35 @@
 import pytest
 
 from repro.machine import DEFAULT_CONFIG
-from repro.model import (
-    clear_static_cache,
-    known_initial_memory,
-    predict_kernel,
-    static_cache_size,
-)
+from repro.model import known_initial_memory, predict_kernel
+from repro.model.statictier import _STATIC_CACHE
 from repro.workloads import clear_caches, compile_spec, workload
 
 
 @pytest.fixture(autouse=True)
 def fresh_memo():
-    clear_static_cache()
+    _STATIC_CACHE.clear()
     yield
-    clear_static_cache()
+    _STATIC_CACHE.clear()
 
 
 class TestMemoization:
     def test_repeat_is_a_cache_hit(self):
         first = predict_kernel("lfk1")
-        assert static_cache_size() == 1
+        assert len(_STATIC_CACHE) == 1
         second = predict_kernel("lfk1")
         assert second is first
 
     def test_distinct_configs_are_distinct_entries(self):
         predict_kernel("lfk1")
         predict_kernel("lfk1", config=DEFAULT_CONFIG.without_fastpath())
-        assert static_cache_size() == 2
+        assert len(_STATIC_CACHE) == 2
 
     def test_clear_caches_resets_the_memo(self):
         predict_kernel("lfk1")
-        assert static_cache_size() == 1
+        assert len(_STATIC_CACHE) == 1
         clear_caches()
-        assert static_cache_size() == 0
+        assert len(_STATIC_CACHE) == 0
 
     def test_number_and_name_resolve_alike(self):
         by_number = predict_kernel(1)

@@ -6,7 +6,8 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.resilience import faults
-from repro.service.cache import ResultCache, clear_service_caches
+from repro import memo
+from repro.service.cache import ResultCache
 from repro.workloads import clear_caches
 
 
@@ -114,10 +115,10 @@ class TestProcessHygiene:
         assert len(cache) == 0
         assert cache.stats()["hits"] == 0
 
-    def test_clear_service_caches_direct(self):
+    def test_memo_clear_all_reaches_the_cache(self):
         cache = ResultCache(max_entries=4)
         cache.put("k1", "bound", {"v": 1})
-        clear_service_caches()
+        memo.clear_all()
         assert cache.get("k1") is None
 
     def test_forked_child_starts_cold_and_detached(self, tmp_path):
