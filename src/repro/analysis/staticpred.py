@@ -26,15 +26,17 @@ the scalar machine:
   aborts the exact tier.
 * **memory** — a partial map ``word -> float`` seeded from the known
   initial image (scalar inputs + compiler literal pool); stores with
-  unknown addresses clear it, loads of unmapped words produce TOP.
+  unknown addresses clear it, loads of unmapped words produce TOP.  A
+  load or store whose known address the simulator would fault on
+  aborts the exact tier (``memory-fault``).
 
-Loop bodies are summarized with the fast-path engine's own proof
-machinery (:mod:`repro.machine.fastpath`): the walker monitors back
-edges, classifies the body into affine recurrences, solves the trip
-count, and advances the pipeline by analytic clock shift or timing
-replay — the identical helpers the simulator's fast path uses, so the
-cycle arithmetic is the same code path that is differentially tested
-against pure interpretation.
+Loop bodies are summarized by the simulator fast path's
+:class:`~repro.machine.fastpath.LoopMonitor`: the walker is a monitor
+like :class:`~repro.machine.fastpath.FastPathEngine`, with its own head
+state (NaN for TOP) and value side.  Detection, classification, the
+trip count and the analytic-shift or replay timing advance are thus
+the simulator's own code, differentially tested against pure
+interpretation.
 
 When a proof obligation fails (a data-dependent branch, a ``T_LEGACY``
 instruction, the scalar-cache model), prediction falls back to the
@@ -53,20 +55,7 @@ from typing import Any
 from ..errors import AnalysisError
 from ..isa.program import Program
 from ..machine.config import MachineConfig
-from ..machine.fastpath import (
-    MAX_BODY,
-    MAX_EDGE_FAILS,
-    MIN_SKIP,
-    _classify,
-    _closure,
-    _Decline,
-    _eval_form,
-    _on_grid,
-    _replay_timing,
-    _slope,
-    _trip_count,
-    _try_analytic_shift,
-)
+from ..machine.fastpath import FastPathStats, LoopMonitor, mem_words
 from ..machine.memory import MemorySystem
 from ..machine.pipeline import PipelineState, TimingModel
 from ..machine.semantics import (
@@ -197,12 +186,16 @@ class StaticPrediction:
 # ----------------------------------------------------------------------
 
 
-class _Walker:
+class _Walker(LoopMonitor):
     """Abstract interpreter driving the real timing model.
 
     TOP is represented as ``None`` in the register lists and as an
     absent key in the memory map.  All mirror arithmetic happens on
     the same Python ``int``/``float`` types as ``execute_decoded``.
+    Loops are summarized by the fast path's :class:`LoopMonitor`; the
+    walker supplies its head state (NaN for TOP) and a value side that
+    advances affine registers, sets the rest to TOP, and forgets the
+    known words the skipped stores may overwrite.
     """
 
     def __init__(
@@ -218,13 +211,12 @@ class _Walker:
             raise _Bail("scalar-cache-enabled")
         self.program = program
         self.config = config
-        self.max_instructions = max_instructions
-        self.decoded = decode_program(program)
-        self.memory_model = MemorySystem(
-            program.layout.total_words, config
+        self.size_words = program.layout.total_words
+        model = TimingModel(config, MemorySystem(self.size_words, config))
+        super().__init__(
+            decode_program(program), model, PipelineState(config),
+            FastPathStats(), max_instructions,
         )
-        self.state = PipelineState(config)
-        self.model = TimingModel(config, self.memory_model)
         timings = config.timings
         self.vtimings = tuple(
             timings.lookup(d.timing_key) if d.is_vector else None
@@ -250,17 +242,6 @@ class _Walker:
         self.vector_memory = 0
         self.scalar_memory = 0
         self.flops = 0
-        # -- back-edge monitor (FastPathEngine mirror) -----------------
-        self._monitor = -1
-        self._events: list[tuple[int, bool]] = []
-        self._fails: dict[int, int] = {}
-        self._blacklist: set[int] = set()
-        self._prev_sig: Any = None
-        self._prev_fp: Any = None
-        self._prev_grid = False
-        self._prev_issue = 0.0
-        self.loops_summarized = 0
-        self.iterations_skipped = 0
 
     # -- abstract scalar semantics (execute_decoded mirror) ------------
 
@@ -300,6 +281,18 @@ class _Walker:
         base = self.a[d.base_idx]
         return None if base is None else base + d.offset
 
+    def _check_access(self, address: int, stride: int, count: int) -> None:
+        """Bail where the simulator's memory faults on a known address:
+        unaligned, first word out of range, or (``count > 0``) last
+        word out of range — ``MemorySystem``'s bounds rules."""
+        first, misaligned = divmod(address, 8)
+        last = first + stride * (count - 1)
+        size = self.size_words
+        if misaligned or not 0 <= first < size or (
+            count > 0 and not 0 <= last < size
+        ):
+            raise _Bail("memory-fault")
+
     def _step(self, d: DecodedInstruction) -> bool:
         """Abstractly execute one instruction; returns branch-taken."""
         tag = d.tag
@@ -327,15 +320,19 @@ class _Walker:
                 result = lhs - rhs
             self._write(d.dest_spec, float(result))
             return False
-        if tag in (T_LD_V, T_ST_V, T_MOV_VV, T_NEG_V):
-            return False  # pure vector data; timing needs no address
+        if tag == T_LD_V or tag == T_ST_V:
+            address = self._address(d)
+            if address is not None:
+                self._check_access(address, d.stride, self.vl)
+            return False  # vector data; timing needs no address
+        if tag == T_MOV_VV or tag == T_NEG_V:
+            return False  # pure vector data
         if tag == T_LD_S:
             address = self._address(d)
             if address is None:
                 self._write(d.dest_spec, None)
                 return False
-            if address % 8:
-                raise _Bail("scalar-load-unaligned")
+            self._check_access(address, 0, 1)
             self._write(d.dest_spec, self.mem.get(address // 8))
             return False
         if tag == T_ST_S:
@@ -344,8 +341,7 @@ class _Walker:
                 # unknown destination: every known word is suspect
                 self.mem.clear()
                 return False
-            if address % 8:
-                raise _Bail("scalar-store-unaligned")
+            self._check_access(address, 0, 1)
             value = self._fetch(d.src_spec)
             word = address // 8
             if value is None:
@@ -427,114 +423,24 @@ class _Walker:
                 self.scalar_count += 1
             self.executed += 1
             if taken:
-                self._on_branch(pc, True)
+                skip = self.on_branch(pc, True, self.executed)
+                if skip is not None:
+                    self.executed += skip.instructions
+                    self.vector_count += skip.vector_instructions
+                    self.scalar_count += skip.scalar_instructions
+                    self.vector_memory += skip.vector_memory
+                    self.scalar_memory += skip.scalar_memory
+                    self.flops += skip.flops
                 pc = d.target_pc
             else:
                 if d.is_branch:
-                    self._on_branch(pc, False)
+                    self.on_branch(pc, False, self.executed)
                 pc += 1
 
-    # -- back-edge monitor (FastPathEngine mirror, value-free) ---------
+    # -- the loop monitor's head state and value side -------------------
 
-    def _on_branch(self, pc: int, taken: bool) -> None:
-        mon = self._monitor
-        if mon < 0:
-            if (
-                taken
-                and self.decoded[pc].target_pc <= pc
-                and pc not in self._blacklist
-            ):
-                self._monitor = pc
-                self._events = []
-                self._prev_sig = None
-                self._prev_fp = None
-            return
-        self._events.append((pc, taken))
-        if pc != mon or not taken:
-            if len(self._events) > 4 * MAX_BODY:
-                self._fail()
-            return
-        self._boundary()
-
-    def _boundary(self) -> None:
-        events = self._events
-        self._events = []
-        try:
-            seq, outcomes = self._reconstruct(events)
-        except _Decline:
-            self._fail()
-            return
-        sig = (tuple(seq), tuple(sorted(outcomes.items())))
-        if sig != self._prev_sig:
-            self._prev_sig = sig
-            self._capture_fp()
-            return
-        prev_fp, prev_issue = self._prev_fp, self._prev_issue
-        prev_grid = self._prev_grid
-        try:
-            skipped = self._engage(
-                seq, outcomes, prev_fp, prev_issue, prev_grid
-            )
-        except _Decline:
-            self._fail()
-            return
-        if not skipped:  # trip count too small right now
-            self._capture_fp()
-            return
-        self._prev_sig = None
-        self._prev_fp = None
-        self._fails[self._monitor] = 0
-
-    def _capture_fp(self) -> None:
-        state = self.state
-        self._prev_issue = state.issue_clock
-        self._prev_fp = state.clock_fingerprint()
-        self._prev_grid = all(
-            _on_grid(v) for v in state.absolute_clocks()
-        )
-
-    def _fail(self) -> None:
-        mon = self._monitor
-        count = self._fails.get(mon, 0) + 1
-        self._fails[mon] = count
-        self._events = []
-        self._prev_sig = None
-        self._prev_fp = None
-        if count >= MAX_EDGE_FAILS:
-            self._blacklist.add(mon)
-            self._monitor = -1
-
-    def _reconstruct(
-        self, events: list[tuple[int, bool]]
-    ) -> tuple[list[int], dict[int, bool]]:
-        decoded = self.decoded
-        mon = self._monitor
-        seq: list[int] = []
-        outcomes: dict[int, bool] = {}
-        pc = decoded[mon].target_pc
-        ei = 0
-        last = len(events) - 1
-        while True:
-            seq.append(pc)
-            if len(seq) > MAX_BODY:
-                raise _Decline("body-too-long")
-            d = decoded[pc]
-            if d.is_branch:
-                if ei > last or events[ei][0] != pc:
-                    raise _Decline("trace-mismatch")
-                taken = events[ei][1]
-                outcomes[len(seq) - 1] = taken
-                if ei == last:
-                    if pc != mon or not taken:
-                        raise _Decline("trace-mismatch")
-                    return seq, outcomes
-                ei += 1
-                pc = d.target_pc if taken else pc + 1
-            else:
-                pc += 1
-
-    def _head_state(self) -> dict[Any, Any]:
-        """Head values for the affine solver; NaN encodes TOP.
+    def head_state(self) -> tuple[int, dict[Any, Any]]:
+        """VL and head values for the affine solver; NaN encodes TOP.
 
         NaN is never ``_is_intval`` and never compares equal, so every
         fast-path proof involving a TOP slot declines — exactly the
@@ -547,80 +453,48 @@ class _Walker:
             head[("a", i)] = math.nan if av is None else av
         for i, sv in enumerate(self.s):
             head[("s", i)] = math.nan if sv is None else sv
-        return head
+        return self.vl, head
 
-    def _engage(
-        self,
-        seq: list[int],
-        outcomes: dict[int, bool],
-        prev_fp: Any,
-        prev_issue: float,
-        prev_grid: bool,
-    ) -> bool:
-        """Summarize the monitored loop; True when iterations skipped.
+    def check_values(self, plan: Any, S: set[Any]) -> None:
+        """Nothing to prove: written slots that are not provably affine
+        become TOP, which is sound because any later control-flow use
+        of them bails to the model tier."""
+        return None
 
-        Reuses the fast-path proof pipeline for classification, trip
-        count, and timing advance, but skips value reconstruction:
-        written slots that are not provably affine become TOP, which
-        is sound because any later control-flow use of them bails to
-        the model tier.
-        """
-        decoded = self.decoded
-        head = self._head_state()
-        plan = _classify(
-            decoded, seq, outcomes, self.vl, self.max_vl, head
-        )
-        S, steps = _closure(plan)
-        budget = (self.max_instructions - self.executed) // len(seq)
-        k = _trip_count(plan, S, steps, budget, self.max_vl)
-        if k < MIN_SKIP:
-            return False
-
-        self._invalidate_stores(plan, S, steps, head, k)
-        self._advance_slots(plan, S, steps, head, k)
-        if plan.has_compare:
-            # the final compare's flag is recomputed before any branch
-            # in the next interpreted iteration; TOP is safe either way
-            self.flag = None
-
-        state = self.state
-        analytic = False
-        if (
-            prev_fp is not None
-            and prev_grid
-            and (
-                not plan.has_memory
-                or not self.config.refresh_enabled
-            )
-            and prev_fp == state.clock_fingerprint()
-        ):
-            analytic = _try_analytic_shift(
-                state, state.issue_clock - prev_issue, k
-            )
-        if not analytic:
-            # templates are only dereferenced under the scalar-cache
-            # model, which the walker refuses up front
-            _replay_timing(self.model, state, decoded, plan, [], k)
-
-        self.executed += len(seq) * k
-        self.vector_count += plan.n_vector * k
-        self.scalar_count += plan.n_scalar * k
-        self.vector_memory += plan.n_vmem * k
-        self.scalar_memory += plan.n_smem * k
-        self.flops += plan.n_flops * k
-        self.loops_summarized += 1
-        self.iterations_skipped += k
-        return True
-
-    def _advance_slots(
+    def advance_values(
         self,
         plan: Any,
         S: set[Any],
         steps: dict[Any, int],
-        head: dict[Any, Any],
+        proof: None,
         k: int,
+    ) -> list[Any]:
+        """Advance the abstract state by ``k`` iterations.
+
+        Every memory position must resolve in bounds for the whole
+        skip, by the fast path's own check (:func:`mem_words`), so a
+        skip never hides an access the simulator would fault on.
+        """
+        stores: list[tuple[int, int, int, int]] = []
+        for pos, (kind, _, stride, vl) in sorted(plan.mem_pos.items()):
+            w0, wstep = mem_words(plan, pos, S, steps, k, self.size_words)[:2]
+            if kind in ("sts", "stv"):
+                stores.append((w0, wstep, stride, vl))
+        self._forget(stores, k)
+        self._advance_slots(plan, S, steps, k)
+        if plan.has_compare:
+            # the final compare's flag is recomputed before any branch
+            # in the next interpreted iteration; TOP is safe either way
+            self.flag = None
+        # templates are only dereferenced under the scalar-cache
+        # model, which the walker refuses up front
+        return []
+
+    def _advance_slots(
+        self, plan: Any, S: set[Any], steps: dict[Any, int], k: int
     ) -> None:
         """Advance written slots by ``k`` iterations (affine or TOP)."""
+        head = plan.head_values
         for slot in plan.scalar_write_pos:
             if slot in S:
                 step = steps[slot]
@@ -643,36 +517,15 @@ class _Walker:
                 else:
                     self.vs = None
 
-    def _invalidate_stores(
-        self,
-        plan: Any,
-        S: set[Any],
-        steps: dict[Any, int],
-        head: dict[Any, Any],
-        k: int,
+    def _forget(
+        self, stores: list[tuple[int, int, int, int]], k: int
     ) -> None:
-        """Drop known words the skipped stores may have overwritten."""
-        if not self.mem:
-            return
-        for pos in sorted(plan.mem_pos):
-            kind, addr, stride, vl = plan.mem_pos[pos]
-            if kind not in ("sts", "stv"):
-                continue
-            if any(sym not in S for sym in addr[1]):
-                self.mem.clear()
-                return
-            a0 = _eval_form(addr, head)
-            astep = _slope(addr, steps)
-            if a0 is None or a0 % 8 or astep % 8:
-                self.mem.clear()
-                return
-            w0 = int(a0) // 8
-            wstep = astep // 8
-            elems = range(vl) if kind == "stv" else range(1)
-            estride = stride if kind == "stv" else 0
+        """Drop the known words skipped stores overwrite: each
+        ``w0 + j * wstep + e * stride`` with ``j < k`` and ``e < vl``."""
+        for w0, wstep, stride, vl in stores:
             for word in list(self.mem):
-                for e in elems:
-                    r = word - w0 - e * estride
+                for e in range(vl):
+                    r = word - w0 - e * stride
                     if wstep == 0:
                         hit = r == 0
                     else:
@@ -814,6 +667,6 @@ def predict_program(
         vector_memory_ops=walker.vector_memory,
         scalar_memory_ops=walker.scalar_memory,
         flops=walker.flops,
-        loops_summarized=walker.loops_summarized,
-        iterations_skipped=walker.iterations_skipped,
+        loops_summarized=walker.stats.engagements,
+        iterations_skipped=walker.stats.iterations_skipped,
     )

@@ -24,6 +24,10 @@ memory image bit for bit, because every arithmetic operation either
 sequential reduction loops) or is proven exact (integer affine closed
 forms below 2**53, dyadic clock shifts).  Whenever a proof obligation
 fails the engine declines and interpretation simply continues.
+
+Detection and the timing advance live in :class:`LoopMonitor`, which
+the static tier's walker (:mod:`repro.analysis.staticpred`) subclasses
+too: it summarizes loops by the same policy over abstract registers.
 """
 
 from __future__ import annotations
@@ -827,6 +831,41 @@ class _MemTemplate:
     idx: np.ndarray  # (k, vl), (vl,), (k,) or (1,) word indices
 
 
+def mem_words(
+    plan: _LoopPlan, pos: int, S: set, steps: dict, k: int,
+    size_words: int,
+) -> tuple[int, int, _WordSet]:
+    """Memory position ``pos``'s words over a ``k``-iteration skip.
+
+    Returns ``(w0, wstep, words)``: the word index at the first skipped
+    iteration, its step per iteration, and the whole set.  Declines
+    unless the address is affine in the head state and word aligned,
+    and every word lies in a memory of ``size_words`` (the simulator
+    faults on any other access), and unless a vector store writes a
+    distinct word per element.
+    """
+    kind, addr, stride, vl = plan.mem_pos[pos]
+    _require_stable(addr, S, "mem-addr-unstable")
+    a0 = _eval_form(addr, plan.head_values)
+    if a0 is None:
+        raise _Decline("mem-addr-nonint")
+    astep = _slope(addr, steps)
+    if a0 % 8 or astep % 8:
+        raise _Decline("mem-unaligned")
+    if vl <= 0:
+        raise _Decline("vl-nonpositive")
+    if kind == "stv" and stride == 0 and vl > 1:
+        # all elements target one word; NumPy scatter order is
+        # unspecified, so mirror-exactness cannot be proven
+        raise _Decline("store-stride0")
+    w0 = a0 // 8
+    wstep = astep // 8
+    words = _WordSet.of(w0, wstep, k, stride, vl)
+    if words.lo < 0 or words.hi >= size_words:
+        raise _Decline("mem-oob")
+    return w0, wstep, words
+
+
 def _memory_pass(plan: _LoopPlan, S, steps, k: int, memory):
     """Resolve every memory position to concrete word indices.
 
@@ -843,30 +882,14 @@ def _memory_pass(plan: _LoopPlan, S, steps, k: int, memory):
     templates: list[_MemTemplate] = []
     if not plan.mem_pos:
         return templates
-    head = plan.head_values
     jvec = np.arange(k, dtype=np.int64)
     loads: list[_WordSet] = []
     stores: list[_WordSet] = []
     for pos in sorted(plan.mem_pos):
-        kind, addr, stride, vl = plan.mem_pos[pos]
-        _require_stable(addr, S, "mem-addr-unstable")
-        a0 = _eval_form(addr, head)
-        if a0 is None:
-            raise _Decline("mem-addr-nonint")
-        astep = _slope(addr, steps)
-        if a0 % 8 or astep % 8:
-            raise _Decline("mem-unaligned")
-        w0 = a0 // 8
-        wstep = astep // 8
-        if vl <= 0:
-            raise _Decline("vl-nonpositive")
-        if kind == "stv" and stride == 0 and vl > 1:
-            # all elements target one word; NumPy scatter order is
-            # unspecified, so mirror-exactness cannot be proven
-            raise _Decline("store-stride0")
-        words = _WordSet.of(w0, wstep, k, stride, vl)
-        if words.lo < 0 or words.hi >= memory.size_words:
-            raise _Decline("mem-oob")
+        kind, _, stride, vl = plan.mem_pos[pos]
+        w0, wstep, words = mem_words(
+            plan, pos, S, steps, k, memory.size_words
+        )
         if kind in ("ldv", "stv"):
             elem = np.arange(vl, dtype=np.int64) * stride
             if wstep == 0:
@@ -1397,33 +1420,39 @@ def _try_analytic_shift(state, delta: float, k: int) -> bool:
 
 
 # ----------------------------------------------------------------------
-# The engine
+# The loop monitor and the engine
 # ----------------------------------------------------------------------
 
 
-class FastPathEngine:
-    """Back-edge monitor + steady-state fast-forwarder for one run.
+class LoopMonitor:
+    """Back-edge loop detector + steady-state skipper for one run.
 
-    The simulator calls :meth:`on_branch` after every executed branch.
-    The engine watches one backward branch at a time, records the
-    branch outcomes of each iteration, and once two consecutive
-    iterations ran the identical instruction path attempts the proof +
-    bulk-advance pipeline above.  All declines are soft for the run
-    (interpretation simply continues); edges that keep failing the
-    proof are blacklisted to bound monitoring overhead.
+    The run loop calls :meth:`on_branch` after every executed branch.
+    The monitor watches one backward branch at a time and rebuilds each
+    iteration's body from the branch events.  The first iteration arms
+    it; two identical iterations in a row engage the proof: classify
+    the body, solve the affine closure, run the value-side checks, solve
+    the trip count, advance the values by ``k`` iterations, then the
+    timing by analytic clock shift or replay.  All declines are soft
+    for the run; an edge that fails ``MAX_EDGE_FAILS`` times in a row
+    is blacklisted to bound monitoring overhead.
+
+    The simulator's :class:`FastPathEngine` and the static tier's
+    walker share this policy.  A subclass supplies only what differs:
+    :meth:`head_state` (concrete registers, or NaN for unknown values)
+    and the value side, :meth:`check_values` before the trip count and
+    :meth:`advance_values` after it.
     """
 
     def __init__(
-        self, decoded, model, state, regfile, memory, stats,
+        self, decoded, model, state, stats: FastPathStats,
         max_instructions: int,
-    ):
-        self._decoded = decoded
-        self._model = model
-        self._state = state
-        self._regfile = regfile
-        self._memory = memory
-        self._stats = stats
-        self._max_instructions = max_instructions
+    ) -> None:
+        self.decoded = decoded
+        self.model = model
+        self.state = state
+        self.stats = stats
+        self.max_instructions = max_instructions
         self._monitor = -1
         self._events: list[tuple[int, bool]] = []
         self._fails: dict[int, int] = {}
@@ -1437,15 +1466,34 @@ class FastPathEngine:
         # scalar cache (cache state is not part of the fingerprint)
         self._track_fp = state.scalar_cache is None
 
+    # -- what a subclass supplies --------------------------------------
+
+    def head_state(self) -> tuple[int, dict]:
+        """VL and every scalar slot's value at the loop head."""
+        raise NotImplementedError
+
+    def check_values(self, plan: _LoopPlan, S: set):
+        """Value-side proof before the trip count; its result is passed
+        to :meth:`advance_values`.  Raises :class:`_Decline`."""
+        raise NotImplementedError
+
+    def advance_values(
+        self, plan: _LoopPlan, S: set, steps: dict, proof, k: int
+    ) -> list[_MemTemplate]:
+        """Advance the value state by ``k`` iterations; returns the
+        memory templates the timing replay needs.  May raise
+        :class:`_Decline` only before it changes any state."""
+        raise NotImplementedError
+
     # ------------------------------------------------------------------
 
-    def on_branch(self, pc: int, taken: bool, executed: int):
+    def on_branch(self, pc: int, taken: bool, executed: int) -> _Skip | None:
         """Observe a branch; returns a :class:`_Skip` after a skip."""
         mon = self._monitor
         if mon < 0:
             if (
                 taken
-                and self._decoded[pc].target_pc <= pc
+                and self.decoded[pc].target_pc <= pc
                 and pc not in self._blacklist
             ):
                 self._monitor = pc
@@ -1454,12 +1502,12 @@ class FastPathEngine:
                 self._prev_fp = None
                 if pc not in self._seen:
                     self._seen.add(pc)
-                    self._stats.loops_detected += 1
+                    self.stats.loops_detected += 1
             return None
         self._events.append((pc, taken))
         if pc != mon or not taken:
             if len(self._events) > 4 * MAX_BODY:
-                return self._fail("body-too-long")
+                return self._fail()
             return None
         return self._boundary(executed)
 
@@ -1470,10 +1518,9 @@ class FastPathEngine:
         self._events = []
         try:
             seq, outcomes = self._reconstruct(events)
-        except _Decline as e:
-            return self._fail(e.reason)
+        except _Decline:
+            return self._fail()
         sig = (tuple(seq), tuple(sorted(outcomes.items())))
-        state = self._state
         if sig != self._prev_sig:
             # first sighting of this body shape: arm for next boundary
             self._prev_sig = sig
@@ -1487,8 +1534,8 @@ class FastPathEngine:
                 seq, outcomes, executed, prev_fp, prev_issue, prev_grid
             )
         except _Decline as e:
-            self._stats.decline(e.reason)
-            return self._fail(e.reason)
+            self.stats.decline(e.reason)
+            return self._fail()
         if skip is None:  # soft: trip count too small right now
             self._capture_fp()
             return None
@@ -1499,7 +1546,7 @@ class FastPathEngine:
         return skip
 
     def _capture_fp(self) -> None:
-        state = self._state
+        state = self.state
         self._prev_issue = state.issue_clock
         if self._track_fp:
             self._prev_fp = state.clock_fingerprint()
@@ -1513,7 +1560,7 @@ class FastPathEngine:
             self._prev_fp = None
             self._prev_grid = False
 
-    def _fail(self, reason: str):
+    def _fail(self) -> None:
         mon = self._monitor
         count = self._fails.get(mon, 0) + 1
         self._fails[mon] = count
@@ -1525,11 +1572,9 @@ class FastPathEngine:
             self._monitor = -1
         return None
 
-    # ------------------------------------------------------------------
-
     def _reconstruct(self, events):
         """Body pc sequence + per-position branch outcomes from events."""
-        decoded = self._decoded
+        decoded = self.decoded
         mon = self._monitor
         seq: list[int] = []
         outcomes: dict[int, bool] = {}
@@ -1555,44 +1600,27 @@ class FastPathEngine:
             else:
                 pc += 1
 
-    def _head_state(self) -> dict:
-        rf = self._regfile
-        head: dict = {("vs",): rf.vs}
-        for i in range(rf.a.shape[0]):
-            head[("a", i)] = int(rf.a[i])
-        for i in range(rf.s.shape[0]):
-            head[("s", i)] = float(rf.s[i])
-        return head
-
-    # ------------------------------------------------------------------
-
     def _engage(
         self, seq, outcomes, executed, prev_fp, prev_issue, prev_grid
     ):
-        decoded = self._decoded
-        regfile = self._regfile
-        head = self._head_state()
-        plan = _classify(
-            decoded, seq, outcomes, regfile.vl, regfile.max_vl, head
-        )
+        decoded = self.decoded
+        state = self.state
+        max_vl = state.config.max_vl
+        vl, head = self.head_state()
+        plan = _classify(decoded, seq, outcomes, vl, max_vl, head)
         S, steps = _closure(plan)
-        seqacc, carried = _detect_live_patterns(plan, decoded, S)
-        budget = (self._max_instructions - executed) // len(seq)
-        k = _trip_count(plan, S, steps, budget, regfile.max_vl)
+        proof = self.check_values(plan, S)
+        budget = (self.max_instructions - executed) // len(seq)
+        k = _trip_count(plan, S, steps, budget, max_vl)
         if k < MIN_SKIP:
             return None
-        templates = _memory_pass(plan, S, steps, k, self._memory)
 
-        # values first (pure until its commit), then timing
-        _value_pass(
-            plan, decoded, S, steps, seqacc, carried, k,
-            regfile, self._memory, templates,
-        )
-        state = self._state
+        # values first (no state changes before their last decline),
+        # then timing
+        templates = self.advance_values(plan, S, steps, proof, k)
         analytic = False
         if (
-            self._track_fp
-            and prev_fp is not None
+            prev_fp is not None
             and prev_grid
             and (not plan.has_memory or not state.config.refresh_enabled)
             and prev_fp == state.clock_fingerprint()
@@ -1601,18 +1629,9 @@ class FastPathEngine:
                 state, state.issue_clock - prev_issue, k
             )
         if not analytic:
-            _replay_timing(
-                self._model, state, decoded, plan, templates, k
-            )
+            _replay_timing(self.model, state, decoded, plan, templates, k)
 
-        spec = _faults.check("fastpath.engage")
-        if spec is not None and spec.kind == "skew":
-            # Chaos hook: push the fast path's clocks off the exact
-            # timeline so the divergence sentinel has a real defect to
-            # catch.  Dead (one ``is None`` test) without an armed plan.
-            state.shift_clocks(spec.value)
-
-        stats = self._stats
+        stats = self.stats
         stats.engagements += 1
         if analytic:
             stats.analytic_engagements += 1
@@ -1628,3 +1647,44 @@ class FastPathEngine:
             scalar_memory=plan.n_smem * k,
             flops=plan.n_flops * k,
         )
+
+
+class FastPathEngine(LoopMonitor):
+    """The simulator's fast path: a :class:`LoopMonitor` over the
+    concrete register file and memory image, whose value side proves
+    memory disjointness and advances both in bulk."""
+
+    def __init__(
+        self, decoded, model, state, regfile, memory, stats,
+        max_instructions: int,
+    ):
+        super().__init__(decoded, model, state, stats, max_instructions)
+        self._regfile = regfile
+        self._memory = memory
+
+    def head_state(self) -> tuple[int, dict]:
+        rf = self._regfile
+        head: dict = {("vs",): rf.vs}
+        for i in range(rf.a.shape[0]):
+            head[("a", i)] = int(rf.a[i])
+        for i in range(rf.s.shape[0]):
+            head[("s", i)] = float(rf.s[i])
+        return rf.vl, head
+
+    def check_values(self, plan, S):
+        return _detect_live_patterns(plan, self.decoded, S)
+
+    def advance_values(self, plan, S, steps, proof, k):
+        templates = _memory_pass(plan, S, steps, k, self._memory)
+        seqacc, carried = proof
+        _value_pass(
+            plan, self.decoded, S, steps, seqacc, carried, k,
+            self._regfile, self._memory, templates,
+        )
+        spec = _faults.check("fastpath.engage")
+        if spec is not None and spec.kind == "skew":
+            # Chaos hook: push the fast path's clocks off the exact
+            # timeline so the divergence sentinel has a real defect to
+            # catch.  Dead (one ``is None`` test) without an armed plan.
+            self.state.shift_clocks(spec.value)
+        return templates

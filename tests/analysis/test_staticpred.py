@@ -6,13 +6,14 @@ import pytest
 
 from repro.analysis import MODEL_TIER_WIDEN, predict_program
 from repro.analysis.staticpred import StaticPrediction
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, MemoryError_, SimulationError
 from repro.isa.builder import AsmBuilder
 from repro.isa.operands import Immediate
 from repro.isa.registers import areg, sreg, vreg
-from repro.machine import DEFAULT_CONFIG
-from repro.model import known_initial_memory
+from repro.machine import DEFAULT_CONFIG, run_program
+from repro.model import known_initial_memory, predict_kernel
 from repro.workloads import compile_spec, run_kernel, workload
+from repro.workloads.runner import sized_spec
 
 
 def predict_spec(name, config=DEFAULT_CONFIG):
@@ -141,6 +142,113 @@ class TestModelTier:
         )
         assert not prediction.exact
         assert prediction.decline_reason == "scalar-cache-enabled"
+
+
+def access_program(op, base_word, vl, stride=1, misalign=0):
+    """One memory access at ``base_word`` under VL ``vl``.
+
+    The program's memory is its one 8-word array.
+    """
+    b = AsmBuilder(f"{op}-at-{base_word}")
+    b.data("x", 8)
+    b.mov(Immediate(8 * base_word + misalign), areg(1))
+    b.set_vl(Immediate(vl))
+    ref = b.mem(None, areg(1), stride_words=stride)
+    if op == "vload":
+        b.vload(ref, vreg(0))
+    elif op == "vstore":
+        b.vstore(vreg(0), ref)
+    elif op == "sload":
+        b.sload(ref, sreg(0))
+    else:
+        b.sstore(sreg(0), ref)
+    return b.build()
+
+
+#: (op, first word, VL, stride, byte misalignment, outcome).  Faults
+#: follow ``MemorySystem``'s rules: unaligned, first word out of range,
+#: or (VL > 0 only) last word out of range.  A vector access under
+#: VL 0 that does not fault is rejected by the timing model instead.
+ACCESSES = [
+    ("sload", 7, 1, 1, 0, "ok"),
+    ("sload", 8, 1, 1, 0, "fault"),
+    ("sload", 2, 1, 1, 4, "fault"),
+    ("sstore", -1, 1, 1, 0, "fault"),
+    ("sstore", 0, 1, 1, 0, "ok"),
+    ("vload", 0, 8, 1, 0, "ok"),
+    ("vload", 1, 8, 1, 0, "fault"),
+    ("vload", 7, 8, -1, 0, "ok"),
+    ("vload", 3, 8, -1, 0, "fault"),
+    ("vload", 0, 8, 1, 2, "fault"),
+    ("vload", 7, 0, 1, 0, "vl0"),
+    ("vload", 8, 0, 1, 0, "fault"),
+    ("vstore", 4, 2, 2, 0, "ok"),
+    ("vstore", 4, 3, 2, 0, "fault"),
+]
+
+
+class TestMemoryFaults:
+    """The exact tier bails wherever the simulator would fault."""
+
+    @pytest.mark.parametrize("access", ACCESSES, ids=str)
+    def test_fault_iff_simulator_faults(self, access):
+        op, word, vl, stride, misalign, outcome = access
+        program = access_program(op, word, vl, stride, misalign)
+        assert program.layout.total_words == 8
+        if outcome == "fault":
+            with pytest.raises(MemoryError_):
+                run_program(program)
+            with pytest.raises(AnalysisError, match="memory-fault"):
+                predict_program(program, DEFAULT_CONFIG)
+        elif outcome == "vl0":
+            with pytest.raises(SimulationError, match="VL=0"):
+                run_program(program)
+            with pytest.raises(SimulationError, match="VL=0"):
+                predict_program(program, DEFAULT_CONFIG)
+        else:
+            prediction = predict_program(program, DEFAULT_CONFIG)
+            assert prediction.exact
+            assert prediction.cycles == run_program(program).cycles
+
+    @pytest.mark.parametrize("n", [8, 20])
+    def test_skip_never_hides_a_fault(self, n):
+        # A top-tested loop: its exit iteration touches no memory, so
+        # only the loop summary itself can see words 8..n-1 fault.
+        b = AsmBuilder(f"scan-{n}")
+        b.data("x", 8)
+        b.mov(Immediate(0), areg(1))
+        b.mov(Immediate(n), areg(2))
+        head, done = b.fresh_label(), b.fresh_label()
+        b.label(head)
+        b.compare_lt(Immediate(0), areg(2))
+        b.branch_false(done)
+        b.sload(b.mem(None, areg(1)), sreg(0))
+        b.add_imm(8, areg(1))
+        b.sub_imm(1, areg(2))
+        b.jump(head)
+        b.label(done)
+        b.mov(Immediate(0), areg(1))
+        program = b.build()
+        if n <= 8:
+            prediction = predict_program(program, DEFAULT_CONFIG)
+            assert prediction.exact
+            assert prediction.loops_summarized == 1
+            assert prediction.cycles == run_program(program).cycles
+        else:
+            with pytest.raises(MemoryError_):
+                run_program(program)
+            with pytest.raises(AnalysisError, match="memory-fault"):
+                predict_program(program, DEFAULT_CONFIG)
+
+    def test_kernel_past_its_arrays_is_not_exact(self):
+        # lfk1's arrays hold ~1001 elements; the simulator faults on
+        # the first strip past them, so no "exact" answer may exist.
+        spec = sized_spec(workload("lfk1"), 5000)
+        with pytest.raises(MemoryError_):
+            run_kernel(spec)
+        prediction = predict_kernel(spec).prediction
+        assert not prediction.exact
+        assert prediction.decline_reason == "memory-fault"
 
 
 class TestPredictionSurface:

@@ -1,6 +1,8 @@
 """Public API surface checks: every exported name resolves."""
 
+import ast
 import importlib
+import pathlib
 
 import pytest
 
@@ -45,3 +47,32 @@ def test_version_string():
 
     major, *_ = repro.__version__.split(".")
     assert int(major) >= 1
+
+
+def _cross_package_private_imports():
+    """``(module, name, source)`` for each ``_private`` name a module
+    imports from a different top-level package of ``repro``."""
+    root = pathlib.Path(importlib.import_module("repro").__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        parts = path.relative_to(root.parent).with_suffix("").parts
+        package = parts[:-1]  # what a relative import is relative to
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            source = package[: len(package) + 1 - node.level] \
+                if node.level else ()
+            if node.module:
+                source += tuple(node.module.split("."))
+            if source[:1] != ("repro",) or source[1:2] == parts[1:2]:
+                continue
+            found += [(".".join(parts), alias.name, ".".join(source))
+                      for alias in node.names
+                      if alias.name.startswith("_")]
+    return found
+
+
+def test_no_private_names_imported_across_packages():
+    # ``repro.X`` may use ``repro.X``'s private helpers, never ``repro.Y``'s:
+    # a private name another package needs belongs in the public API.
+    assert _cross_package_private_imports() == []
