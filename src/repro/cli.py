@@ -40,11 +40,10 @@ import time
 
 from .compiler.options import parse_options
 from .errors import (
-    BudgetExceededError,
+    ERROR_EXIT_CODES,
     ExperimentError,
-    MachineError,
     ReproError,
-    StoreError,
+    taxonomy_error_code,
 )
 from .experiments import EXPERIMENTS
 from .isa.printer import format_program
@@ -69,15 +68,6 @@ EXIT_WORKLOAD = 3
 EXIT_SIMULATION = 4
 EXIT_INFRASTRUCTURE = 5
 EXIT_SERVER = 6
-
-
-def exit_code_for(exc: ReproError) -> int:
-    """Map a taxonomy error to the CLI exit-code contract."""
-    if isinstance(exc, (MachineError, BudgetExceededError)):
-        return EXIT_SIMULATION
-    if isinstance(exc, (ExperimentError, StoreError)):
-        return EXIT_INFRASTRUCTURE
-    return EXIT_WORKLOAD
 
 
 def _cmd_list(_args) -> int:
@@ -1207,7 +1197,7 @@ def main(argv: list[str] | None = None) -> int:
         return handlers[args.command](args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exit_code_for(exc)
+        return ERROR_EXIT_CODES[taxonomy_error_code(exc)]
 
 
 if __name__ == "__main__":

@@ -167,3 +167,26 @@ class BudgetExceededError(ReproError):
         self.spent = spent
         self.limit = limit
         super().__init__(message)
+
+
+#: Error codes -> process exit codes: a service error's ``exit_code``
+#: and the CLI's exit status (docs/robustness.md).
+ERROR_EXIT_CODES = {
+    "usage": 2,
+    "workload": 3,
+    "simulation": 4,
+    "budget": 4,
+    "infrastructure": 5,
+    "unavailable": 6,
+}
+
+
+def taxonomy_error_code(exc: ReproError) -> str:
+    """Map a taxonomy exception to its error code."""
+    if isinstance(exc, BudgetExceededError):
+        return "budget"
+    if isinstance(exc, MachineError):
+        return "simulation"
+    if isinstance(exc, (ExperimentError, StoreError)):
+        return "infrastructure"
+    return "workload"

@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -74,7 +75,7 @@ _SITES_HINT = (
     "service.cache_write, fleet.replica, fleet.l2_write"
 )
 _KINDS = ("io-error", "torn-write", "skew", "raise", "exit", "hang")
-_WORKER_KINDS = ("raise", "exit", "hang")
+WORKER_FAULT_KINDS = ("raise", "exit", "hang")
 
 
 @dataclass(frozen=True)
@@ -99,10 +100,10 @@ class FaultSpec:
                 f"{', '.join(_KINDS)}"
             )
         if self.site == "worker":
-            if self.kind not in _WORKER_KINDS:
+            if self.kind not in WORKER_FAULT_KINDS:
                 raise ExperimentError(
                     f"worker faults must be one of "
-                    f"{', '.join(_WORKER_KINDS)}, got {self.kind!r}"
+                    f"{', '.join(WORKER_FAULT_KINDS)}, got {self.kind!r}"
                 )
             if self.task is None or self.task < 0:
                 raise ExperimentError(
@@ -276,6 +277,26 @@ def check(site: str, path: str = "") -> FaultSpec | None:
         except Exception:
             pass
     return spec
+
+
+def worker_fault(kind: str, fail_attempts: int, attempt: int) -> None:
+    """Fire an injected worker fault on attempts ``<= fail_attempts``.
+
+    ``raise`` raises ``RuntimeError``, ``exit`` kills the worker
+    process (exit status 17) and ``hang`` sleeps 600 s.  The one hook
+    behind a sweep cell's ``fault`` and a service payload's
+    ``_inject``.
+    """
+    if attempt > fail_attempts:
+        return
+    if kind == "raise":
+        raise RuntimeError(f"injected fault: raise (attempt {attempt})")
+    if kind == "exit":
+        os._exit(17)
+    if kind == "hang":
+        time.sleep(600.0)
+        return
+    raise ExperimentError(f"unknown fault kind {kind!r}")
 
 
 def clock_skew() -> float:

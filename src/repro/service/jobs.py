@@ -18,41 +18,34 @@ fully deterministic: the same payload always produces byte-identical
 ``json.dumps(body, sort_keys=True)`` output, whether computed in a
 worker, inline by an offline client, or replayed from the cache.
 
+A payload's field names are the request param names, so every kind
+rebuilds its (spec, options, config) with the same
+:func:`~repro.service.protocol.resolve_config` that canonicalized it.
+
 The ``_inject`` payload field is the chaos hook: ``{"kind": "exit",
 "attempts": 1}`` makes attempt 1 kill its worker process (and so
-forth), exactly like the sweep scheduler's ``inject_faults`` — how the
-chaos suite proves a killed worker is retried without the client ever
-seeing an error.
+forth) through the same :func:`~repro.resilience.faults.worker_fault`
+as the sweep scheduler's ``inject_faults`` — how the chaos suite
+proves a killed worker is retried without the client ever seeing an
+error.
 """
 
 from __future__ import annotations
 
-import os
-import time
-
-from ..errors import ReproError
-from .protocol import (
-    ERROR_EXIT_CODES,
-    options_from_dict,
-    taxonomy_error_code,
-)
+from ..errors import ERROR_EXIT_CODES, ReproError, taxonomy_error_code
+from ..resilience.faults import worker_fault
+from .protocol import options_from_dict, resolve_config
 
 
-def _config_from_payload(payload: dict):
-    from ..machine import DEFAULT_CONFIG
+def _resolve(payload: dict):
+    """The (spec, options, config) a canonical kernel payload names."""
+    from ..workloads import workload
 
-    machine_name = payload.get("machine")
-    if machine_name is not None:
-        from ..machines import builtin_machine
-
-        config = builtin_machine(str(machine_name)).config
-    else:
-        config = DEFAULT_CONFIG
-    if payload.get("no_fastpath"):
-        config = config.without_fastpath()
-    if payload.get("max_cycles") is not None:
-        config = config.with_cycle_budget(float(payload["max_cycles"]))
-    return config
+    return (
+        workload(payload["kernel"]),
+        options_from_dict(payload.get("options") or {}),
+        resolve_config(payload)[0],
+    )
 
 
 def _compute_task_kind(payload: dict) -> dict:
@@ -60,12 +53,10 @@ def _compute_task_kind(payload: dict) -> dict:
     from ..sweep.scheduler import compute_metrics
     from ..sweep.spec import SweepTask
 
+    _, options, config = _resolve(payload)
     task = SweepTask(
-        workload=payload["kernel"],
-        options=options_from_dict(payload.get("options") or {}),
-        config=_config_from_payload(payload),
-        n=payload.get("n"),
-        mode=payload["kind"],
+        workload=payload["kernel"], options=options, config=config,
+        n=payload.get("n"), mode=payload["kind"],
     )
     return {
         "kernel": payload["kernel"],
@@ -77,14 +68,10 @@ def _compute_task_kind(payload: dict) -> dict:
 
 def _compute_ax(payload: dict) -> dict:
     from ..model import measure_ax
-    from ..workloads import compile_spec, workload
+    from ..workloads import compile_spec
 
-    spec = workload(payload["kernel"])
-    options = options_from_dict(payload.get("options") or {})
-    compiled = compile_spec(spec, options)
-    measurement = measure_ax(
-        spec, compiled, _config_from_payload(payload)
-    )
+    spec, options, config = _resolve(payload)
+    measurement = measure_ax(spec, compile_spec(spec, options), config)
     return {
         "kernel": payload["kernel"],
         "t_a_cpl": measurement.t_a_cpl,
@@ -96,10 +83,10 @@ def _compute_ax(payload: dict) -> dict:
 
 def _compute_lint(payload: dict) -> dict:
     from ..analysis import LintOptions, Severity, lint_program
-    from ..workloads import compile_spec, workload
+    from ..workloads import compile_spec
 
-    spec = workload(payload["kernel"])
-    compiled = compile_spec(spec)
+    spec, options, _ = _resolve(payload)
+    compiled = compile_spec(spec, options)
     findings = lint_program(
         compiled.program,
         LintOptions(trips=tuple(spec.trip_profile)),
@@ -118,13 +105,9 @@ def _compute_lint(payload: dict) -> dict:
 
 def _compute_analyze(payload: dict) -> dict:
     from ..model import analyze_kernel
-    from ..workloads import workload
 
-    analysis = analyze_kernel(
-        workload(payload["kernel"]),
-        options=options_from_dict(payload.get("options") or {}),
-        config=_config_from_payload(payload),
-    )
+    spec, options, config = _resolve(payload)
+    analysis = analyze_kernel(spec, options=options, config=config)
     return {
         "kernel": payload["kernel"],
         "report": analysis.report(),
@@ -142,12 +125,9 @@ def _compute_advise(payload: dict) -> dict:
     """
     from ..model import predict_kernel
 
-    prediction = predict_kernel(
-        payload["kernel"],
-        options=options_from_dict(payload.get("options") or {}),
-        config=_config_from_payload(payload),
-        n=payload.get("n"),
-    )
+    spec, options, config = _resolve(payload)
+    prediction = predict_kernel(spec, options=options, config=config,
+                                n=payload.get("n"))
     return prediction.to_payload()
 
 
@@ -169,7 +149,7 @@ def _compute_sweep(payload: dict) -> dict:
     spec = SweepSpec.build(
         payload["kernels"],
         variants=variants,
-        configs={config_tag: _config_from_payload(payload)},
+        configs={config_tag: resolve_config(payload)[0]},
     )
     result = run_sweep(spec, jobs=1)
     return {
@@ -196,15 +176,8 @@ _COMPUTE = {
 def execute_request(payload: dict, attempt: int = 1) -> dict:
     """Compute one canonical request payload (worker entry point)."""
     inject = payload.get("_inject")
-    if inject is not None and attempt <= int(inject["attempts"]):
-        kind = inject["kind"]
-        if kind == "raise":
-            raise RuntimeError(
-                f"injected fault: raise (attempt {attempt})"
-            )
-        if kind == "exit":
-            os._exit(17)
-        time.sleep(600.0)  # kind == "hang"
+    if inject is not None:
+        worker_fault(inject["kind"], inject["attempts"], attempt)
     compute = _COMPUTE[payload["kind"]]
     try:
         return {"status": "ok", "body": compute(payload)}

@@ -14,9 +14,9 @@ request ``id`` and may arrive out of order.
 ``report``, ``sweep``) or a control kind handled by the frontend
 without touching the worker pool (:data:`CONTROL_KINDS` — ``ping``,
 ``healthz``, ``metrics``, ``drain``).  ``deadline_s`` (optional, top
-level) bounds the request's wall clock.  ``advise`` is the *fast
-tier*: it is computed inline on the frontend from the static
-prediction engine and never occupies a worker slot.
+level, never inside ``params``) bounds the request's wall clock.
+``advise`` is the *fast tier*: it is computed inline on the frontend
+from the static prediction engine and never occupies a worker slot.
 
 **Response envelope**::
 
@@ -24,29 +24,36 @@ prediction engine and never occupies a worker slot.
      "origin": "computed", "elapsed_ms": 1.87, "body": {...}}
 
 ``status`` is ``ok`` | ``error`` (typed domain failure, carries
-``error.exit_code`` from the CLI taxonomy) | ``rejected`` (admission
-control, carries ``error.retry_after_s``).  ``origin`` says how the
-body was produced: ``computed`` (this request ran a worker job),
-``coalesced`` (attached to an identical in-flight request),
-``cache`` (served from the result cache), or ``offline`` (client-side
-execution, no server).  The **body is deterministic** — byte-identical
+``error.exit_code`` from :data:`repro.errors.ERROR_EXIT_CODES`) |
+``rejected`` (admission control, carries ``error.retry_after_s``).
+``origin`` says how the body was produced: ``computed`` (this request
+ran a worker job), ``coalesced`` (attached to an identical in-flight
+request), ``cache`` (served from the result cache), or ``offline``
+(client-side execution, no server).  The **body is deterministic** — byte-identical
 for any origin — while the envelope (origin, timing) is not.
 
-**Canonicalization.**  :func:`canonicalize` validates raw params,
-resolves compiler-option variants and machine-config switches, and
-produces a :class:`Request` whose ``key`` is a content digest: ``run``
-/ ``bound`` / ``mac`` requests reuse the sweep engine's
+**Canonicalization.**  :func:`canonicalize` is the one place request
+params become a canonical payload.  It validates raw params and the
+frame's ``deadline_s``, resolves compiler-option variants and the
+machine config (:func:`resolve_config`, once), and produces a
+:class:`Request` whose ``key`` is a content digest: ``run`` /
+``bound`` / ``mac`` requests reuse the sweep engine's
 :class:`~repro.sweep.spec.SweepTask` keys verbatim, everything else
 digests its canonical payload with the same
-:func:`~repro.sweep.spec.digest`.  Two requests with the same key
-compute the same result — that is the contract single-flight dedup and
-the result cache are built on.
+:func:`~repro.sweep.spec.digest`.  The six kernel kinds
+(:data:`KERNEL_KINDS`) share one payload shape, whose field names are
+the param names: the worker rebuilds the config with the same
+:func:`resolve_config`, and a replay as another kind only changes
+``kind``.  Two requests with the same key compute the same result —
+that is the contract single-flight dedup and the result cache are
+built on.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 from ..compiler.options import (
@@ -56,16 +63,14 @@ from ..compiler.options import (
     parse_options,
 )
 from ..errors import (
-    BudgetExceededError,
-    ExperimentError,
-    MachineError,
+    ERROR_EXIT_CODES,
     MachineFileError,
     ReproError,
-    StoreError,
     WorkloadError,
 )
-from ..machine import DEFAULT_CONFIG
+from ..machine import DEFAULT_CONFIG, MachineConfig
 from ..machines import builtin_machine, tuned_options
+from ..resilience.faults import WORKER_FAULT_KINDS
 from ..sweep.spec import OPTION_VARIANTS, SweepTask, digest
 
 #: Compute kinds (keyed and cached; all but ``advise`` run on the
@@ -74,32 +79,13 @@ REQUEST_KINDS = (
     "run", "bound", "mac", "ax", "lint", "analyze", "advise",
     "report", "sweep",
 )
+#: Compute kinds that name one kernel and share one payload shape.
+KERNEL_KINDS = ("run", "bound", "mac", "ax", "analyze", "advise")
 #: Control kinds (answered by the frontend, never queued or cached).
 CONTROL_KINDS = ("ping", "healthz", "metrics", "drain")
 
 #: Severity order for lint requests (mirrors repro.analysis.Severity).
 _SEVERITIES = ("info", "warning", "error")
-
-#: Protocol error codes -> CLI exit codes (docs/robustness.md).
-ERROR_EXIT_CODES = {
-    "usage": 2,
-    "workload": 3,
-    "simulation": 4,
-    "budget": 4,
-    "infrastructure": 5,
-    "unavailable": 6,
-}
-
-
-def taxonomy_error_code(exc: ReproError) -> str:
-    """Map a taxonomy exception to a protocol error code."""
-    if isinstance(exc, (MachineError, BudgetExceededError)):
-        return "budget" if isinstance(exc, BudgetExceededError) \
-            else "simulation"
-    if isinstance(exc, (ExperimentError, StoreError)):
-        return "infrastructure"
-    return "workload"
-
 
 class ProtocolError(ReproError):
     """Raised for malformed requests (maps to the ``usage`` code)."""
@@ -169,64 +155,57 @@ def resolve_options(params: dict) -> CompilerOptions:
     return DEFAULT_OPTIONS
 
 
-def resolve_machine(params: dict):
-    """The machine description a request targets, or ``None``.
-
-    Only built-in names travel over the wire — a client-side machine
-    *file* is the offline client's business; the server resolves names
-    against its own shipped registry so both sides key on the same
-    content digest.
-    """
-    name = params.get("machine")
-    if name is None:
-        return None
-    if not isinstance(name, str):
-        raise ProtocolError(
-            f"'machine' must be a built-in machine name, got {name!r}"
-        )
+def _positive(value, name: str) -> float:
+    """``value`` as a finite positive float, else a ``usage`` error."""
     try:
-        return builtin_machine(name)
-    except MachineFileError as exc:
-        raise ProtocolError(str(exc)) from None
+        number = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not (math.isfinite(number) and number > 0):
+        raise ProtocolError(
+            f"{name} must be a positive number, got {value!r}"
+        )
+    return number
 
 
-def resolve_config(params: dict):
-    """Machine config from ``machine``/``no_fastpath``/``max_cycles``."""
-    description = resolve_machine(params)
-    config = DEFAULT_CONFIG if description is None \
-        else description.config
-    if params.get("no_fastpath"):
-        config = config.without_fastpath()
-    max_cycles = params.get("max_cycles")
-    if max_cycles is not None:
-        try:
-            config = config.with_cycle_budget(float(max_cycles))
-        except (TypeError, ValueError):
-            raise ProtocolError(
-                f"max_cycles must be a positive number, got "
-                f"{max_cycles!r}"
-            ) from None
-    return config
+def resolve_config(params: dict) -> tuple[MachineConfig, dict]:
+    """Machine config from ``machine``/``no_fastpath``/``max_cycles``.
 
+    Returns the config and its canonical payload fields, whose names
+    are the param names read here — so the worker rebuilds the config
+    from a canonical payload with this same function.
 
-def config_payload(params: dict) -> dict:
-    """The canonical config-affecting params (for payloads/digests).
-
-    A machine is identified by *name and content digest*: the digest
-    joins every derived request key, so two machines that merely share
-    a name (say, a server and client with different registry versions)
-    can never collide in a cache tier.
+    Only built-in machine names travel over the wire (a client-side
+    machine *file* is the offline client's business).  A machine is
+    identified by *name and content digest*: the digest joins every
+    derived request key, so two machines that merely share a name
+    (say, a server and client with different registry versions) can
+    never collide in a cache tier.
     """
     payload: dict = {}
-    description = resolve_machine(params)
-    if description is not None:
+    name = params.get("machine")
+    if name is None:
+        config = DEFAULT_CONFIG
+    else:
+        if not isinstance(name, str):
+            raise ProtocolError(
+                f"'machine' must be a built-in machine name, got {name!r}"
+            )
+        try:
+            description = builtin_machine(name)
+        except MachineFileError as exc:
+            raise ProtocolError(str(exc)) from None
+        config = description.config
         payload["machine"] = description.name
         payload["machine_digest"] = description.digest
     if params.get("no_fastpath"):
+        config = config.without_fastpath()
         payload["no_fastpath"] = True
     if params.get("max_cycles") is not None:
-        payload["max_cycles"] = float(params["max_cycles"])
-    return payload
+        payload["max_cycles"] = _positive(params["max_cycles"],
+                                          "max_cycles")
+        config = config.with_cycle_budget(payload["max_cycles"])
+    return config, payload
 
 
 # ----------------------------------------------------------------------
@@ -247,6 +226,16 @@ class Request:
     key: str
     payload: dict
     deadline_s: float | None = None
+
+    def replay(self, kind: str) -> dict:
+        """This request's payload computed as ``kind`` (no chaos hook).
+
+        Every field the request was keyed on reaches the replay — the
+        calibration loop's exact ``run`` of an ``advise`` request.
+        """
+        payload = {**self.payload, "kind": kind}
+        payload.pop("_inject", None)
+        return payload
 
 
 @dataclass
@@ -332,21 +321,30 @@ def _inject_payload(params: dict) -> dict:
     if inject is None:
         return {}
     if not isinstance(inject, dict) or \
-            inject.get("kind") not in ("raise", "exit", "hang"):
+            inject.get("kind") not in WORKER_FAULT_KINDS:
         raise ProtocolError(
             "_inject needs {'kind': raise|exit|hang, 'attempts': N}"
         )
     return {"_inject": {
         "kind": inject["kind"],
-        "attempts": int(inject.get("attempts", 1)),
+        "attempts": int(_positive(inject.get("attempts", 1),
+                                  "_inject.attempts")),
     }}
 
 
-def canonicalize(kind: str, params: dict) -> Request:
+def canonicalize(kind: str, params: dict, *,
+                 deadline_s: float | None = None) -> Request:
     """Validate and canonicalize one compute request.
 
-    Raises :class:`ProtocolError` (a ``usage`` error) on anything
-    malformed, *before* the request consumes queue or worker capacity.
+    ``deadline_s`` is the frame-level wall-clock budget.  Raises
+    :class:`ProtocolError` (a ``usage`` error) on anything malformed,
+    *before* the request consumes queue or worker capacity.
+
+    The six kernel kinds share one payload shape — ``kind``,
+    ``kernel``, ``options`` and the :func:`resolve_config` fields, plus
+    ``n`` for every kind but ``ax``/``analyze`` — so replaying a
+    request as another kind is a change of ``kind`` alone
+    (:meth:`Request.replay`).
     """
     if kind not in REQUEST_KINDS:
         raise ProtocolError(
@@ -356,47 +354,30 @@ def canonicalize(kind: str, params: dict) -> Request:
         )
     if not isinstance(params, dict):
         raise ProtocolError("'params' must be an object")
-    deadline_s = params.get("deadline_s")
+    if params.get("deadline_s") is not None:
+        raise ProtocolError(
+            "deadline_s is a frame-level field, not a param: send "
+            "{\"kind\": ..., \"deadline_s\": ..., \"params\": {...}}"
+        )
     if deadline_s is not None:
-        deadline_s = float(deadline_s)
-        if deadline_s <= 0:
-            raise ProtocolError(
-                f"deadline_s must be positive, got {deadline_s}"
-            )
+        deadline_s = _positive(deadline_s, "deadline_s")
     inject = _inject_payload(params)
 
-    if kind in ("run", "bound", "mac"):
+    if kind in KERNEL_KINDS:
         kernel = _require_kernel(params)
-        config = resolve_config(params)
+        config, payload = resolve_config(params)
         options = tuned_options(resolve_options(params), config)
-        task = SweepTask(
-            workload=kernel, options=options, config=config,
-            n=_problem_size(params), mode=kind,
-        )
-        payload = {
-            "kind": kind,
-            "kernel": kernel,
-            "options": options_to_dict(options),
-            **config_payload(params),
-        }
-        if task.n is not None:
-            payload["n"] = task.n
-        return Request(kind=kind, key=task.key,
-                       payload={**payload, **inject},
-                       deadline_s=deadline_s)
-
-    if kind == "ax":
-        kernel = _require_kernel(params)
-        options = tuned_options(
-            resolve_options(params), resolve_config(params)
-        )
-        payload = {
-            "kind": kind,
-            "kernel": kernel,
-            "options": options_to_dict(options),
-            **config_payload(params),
-        }
-        return Request(kind=kind, key=f"ax:{digest(payload)}",
+        payload = {"kind": kind, "kernel": kernel,
+                   "options": options_to_dict(options), **payload}
+        n = None if kind in ("ax", "analyze") else _problem_size(params)
+        if n is not None:
+            payload["n"] = n
+        if kind in ("run", "bound", "mac"):
+            key = SweepTask(workload=kernel, options=options,
+                            config=config, n=n, mode=kind).key
+        else:
+            key = f"{kind}:{digest(payload)}"
+        return Request(kind=kind, key=key,
                        payload={**payload, **inject},
                        deadline_s=deadline_s)
 
@@ -411,40 +392,6 @@ def canonicalize(kind: str, params: dict) -> Request:
         payload = {"kind": kind, "kernel": kernel,
                    "min_severity": minimum}
         return Request(kind=kind, key=f"lint:{digest(payload)}",
-                       payload={**payload, **inject},
-                       deadline_s=deadline_s)
-
-    if kind == "analyze":
-        kernel = _require_kernel(params)
-        options = tuned_options(
-            resolve_options(params), resolve_config(params)
-        )
-        payload = {
-            "kind": kind,
-            "kernel": kernel,
-            "options": options_to_dict(options),
-            **config_payload(params),
-        }
-        return Request(kind=kind, key=f"analyze:{digest(payload)}",
-                       payload={**payload, **inject},
-                       deadline_s=deadline_s)
-
-    if kind == "advise":
-        kernel = _require_kernel(params)
-        # resolve_config validates machine/max_cycles up front
-        options = tuned_options(
-            resolve_options(params), resolve_config(params)
-        )
-        payload = {
-            "kind": kind,
-            "kernel": kernel,
-            "options": options_to_dict(options),
-            **config_payload(params),
-        }
-        n = _problem_size(params)
-        if n is not None:
-            payload["n"] = n
-        return Request(kind=kind, key=f"advise:{digest(payload)}",
                        payload={**payload, **inject},
                        deadline_s=deadline_s)
 
@@ -493,7 +440,7 @@ def canonicalize(kind: str, params: dict) -> Request:
         "kind": kind,
         "kernels": [k.lower() for k in kernels],
         "variants": list(variants),
-        **config_payload(params),
+        **resolve_config(params)[1],
     }
     return Request(kind=kind, key=f"sweep:{digest(payload)}",
                    payload={**payload, **inject},

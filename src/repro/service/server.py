@@ -392,15 +392,9 @@ class AnalysisServer:
                 envelope = self._control(request_id, kind)
             else:
                 request = canonicalize(
-                    kind, dict(frame.get("params") or {})
+                    kind, dict(frame.get("params") or {}),
+                    deadline_s=frame.get("deadline_s"),
                 )
-                deadline_s = frame.get("deadline_s")
-                if deadline_s is not None:
-                    request = Request(
-                        kind=request.kind, key=request.key,
-                        payload=request.payload,
-                        deadline_s=float(deadline_s),
-                    )
                 envelope = await self._dispatch(request, client_id,
                                                 request_id)
         except ProtocolError as exc:
@@ -597,21 +591,16 @@ class AnalysisServer:
                          static_body: dict) -> None:
         """Replay a sampled ``advise`` request exactly (worker pool).
 
+        The replay is the ``advise`` payload with ``kind: run``
+        (:meth:`Request.replay`), so it runs on the same machine,
+        options, budget and problem size the answer was keyed on.
         Runs as a tracked flight so graceful drain waits for it; any
         failure only costs this one calibration point, never the
         request (which was already answered).
         """
-        run_payload: dict = {
-            "kind": "run",
-            "kernel": request.payload["kernel"],
-            "options": request.payload.get("options") or {},
-        }
-        for name in ("no_fastpath", "max_cycles", "n"):
-            if request.payload.get(name) is not None:
-                run_payload[name] = request.payload[name]
         try:
             payload = await asyncio.to_thread(
-                self.pool.run, execute_request, run_payload,
+                self.pool.run, execute_request, request.replay("run"),
                 key=f"calibrate:{request.key}",
                 timeout=self.config.job_timeout_s,
             )

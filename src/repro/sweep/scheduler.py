@@ -227,17 +227,7 @@ def execute_task(
     sentinel's degradation path.
     """
     if fault is not None:
-        kind, fail_attempts = fault
-        if attempt <= fail_attempts:
-            if kind == "raise":
-                raise RuntimeError(
-                    f"injected fault: raise (attempt {attempt})"
-                )
-            if kind == "exit":
-                os._exit(17)
-            if kind == "hang":
-                time.sleep(600.0)
-            raise ExperimentError(f"unknown fault kind {kind!r}")
+        _faults.worker_fault(*fault, attempt)
     wall0 = time.perf_counter()
     payload = {
         "key": task.key,

@@ -102,7 +102,9 @@ class TestAdviseFastTier:
 
 
 class TestCalibrationLoop:
-    def test_sampled_requests_land_in_the_ledger(self, tmp_path):
+    @pytest.mark.parametrize("machine", [None, "c3800like"])
+    def test_sampled_requests_land_in_the_ledger(self, tmp_path,
+                                                 machine):
         sock = str(tmp_path / "cal.sock")
         ledger_path = str(tmp_path / "agreement.jsonl")
         thread = start_in_thread(
@@ -113,7 +115,8 @@ class TestCalibrationLoop:
         )
         try:
             with ServiceClient(thread.endpoints[0]) as client:
-                assert client.advise("lfk1").ok
+                params = {} if machine is None else {"machine": machine}
+                assert client.advise("lfk1", **params).ok
                 deadline = time.time() + 60
                 while time.time() < deadline:
                     snapshot = client.metrics()

@@ -1,13 +1,14 @@
 """Protocol unit tests: canonicalization, keys, framing, rendering."""
 
 import json
+import math
 
 import pytest
 
 from repro.compiler.options import DEFAULT_OPTIONS
+from repro.errors import ERROR_EXIT_CODES
 from repro.service.protocol import (
     CONTROL_KINDS,
-    ERROR_EXIT_CODES,
     REQUEST_KINDS,
     ProtocolError,
     Response,
@@ -100,6 +101,30 @@ class TestCanonicalize:
         for n in (0, -3, 1.5, True):
             with pytest.raises(ProtocolError):
                 canonicalize("run", {"kernel": "lfk1", "n": n})
+
+    @pytest.mark.parametrize("kind", ["run", "advise", "sweep"])
+    @pytest.mark.parametrize("params, deadline, match", [
+        *[({}, bad, "deadline_s must be")
+          for bad in ("soon", -1, 0, math.nan, math.inf, True)],
+        ({"deadline_s": 5}, None, "frame-level field"),
+        *[({"max_cycles": bad}, None, "max_cycles must be")
+          for bad in (-5, 0, math.nan, math.inf, True, "x", [1])],
+        *[({"_inject": {"kind": "raise", "attempts": bad}}, None,
+           "_inject.attempts") for bad in ("x", 0, -1, True, None)],
+    ])
+    def test_malformed_numbers_rejected(self, kind, params, deadline,
+                                        match):
+        with pytest.raises(ProtocolError, match=match):
+            canonicalize(
+                kind, {"kernel": "lfk1", "kernels": ["lfk1"], **params},
+                deadline_s=deadline,
+            )
+
+    def test_frame_deadline_is_validated_not_keyed(self):
+        timed = canonicalize("run", {"kernel": "lfk1"}, deadline_s="2.5")
+        plain = canonicalize("run", {"kernel": "lfk1"})
+        assert timed.deadline_s == 2.5
+        assert timed.key == plain.key and timed.payload == plain.payload
 
     def test_sweep_validates_kernels_and_variants(self):
         with pytest.raises(ProtocolError):

@@ -231,6 +231,28 @@ class TestDeadlines:
             thread.stop()
 
 
+    def test_bad_frame_deadline_is_usage_and_computes_nothing(
+            self, tmp_path):
+        thread = start_in_thread(
+            ServiceConfig(socket_path=str(tmp_path / "dl.sock"),
+                          workers=1)
+        )
+        try:
+            with ServiceClient(thread.endpoints[0]) as active:
+                for kernel, deadline in (("lfk1", "soon"), ("lfk2", -1),
+                                         ("lfk3", float("nan"))):
+                    response = active.request(
+                        "run", {"kernel": kernel}, deadline_s=deadline
+                    )
+                    assert response.status == "error", deadline
+                    assert response.error["code"] == "usage"
+                    assert response.exit_code == 2
+                    assert "deadline_s" in response.error["message"]
+                assert active.metrics()["computed"] == 0
+        finally:
+            thread.stop()
+
+
 class TestForkHygiene:
     def test_forked_child_closes_inherited_listen_sockets(self):
         """A forked worker must never hold the server's accept socket

@@ -35,19 +35,6 @@ def load_burst():
     return frames
 
 
-def exact_replay_payload(payload):
-    """The calibration loop's exact replay of one advise payload."""
-    run_payload = {
-        "kind": "run",
-        "kernel": payload["kernel"],
-        "options": payload.get("options") or {},
-    }
-    for name in ("no_fastpath", "max_cycles", "n"):
-        if payload.get(name) is not None:
-            run_payload[name] = payload[name]
-    return run_payload
-
-
 def test_burst_covers_every_workload():
     from repro.workloads import ALL_WORKLOADS
 
@@ -66,7 +53,7 @@ def test_burst_agreement_stays_within_the_gate(tmp_path):
         request = canonicalize(frame["kind"], dict(frame["params"]))
         static = execute_request(request.payload)
         assert static["status"] == "ok", (frame, static)
-        exact = execute_request(exact_replay_payload(request.payload))
+        exact = execute_request(request.replay("run"))
         assert exact["status"] == "ok", (frame, exact)
         sampler.judge(
             request.payload["kernel"],

@@ -359,3 +359,40 @@ class TestFleetCommand:
             ["fleet", "replay",
              "--burst", str(tmp_path / "nope.ndjson")]
         ) != 0
+
+
+def _taxonomy_classes():
+    import inspect
+
+    from repro import errors
+    from repro.service.protocol import ProtocolError
+
+    classes = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+               if issubclass(cls, errors.ReproError)]
+    return classes + [ProtocolError]
+
+
+@pytest.mark.parametrize("cls", _taxonomy_classes(),
+                         ids=lambda cls: cls.__name__)
+def test_cli_exit_code_equals_protocol_exit_code(monkeypatch, capsys,
+                                                 cls):
+    """One taxonomy: a CLI command and a served request failing with the
+    same exception class report the same exit code."""
+    import repro.cli
+    from repro.service import jobs
+    from repro.service.client import offline_response
+
+    try:
+        exc = cls("boom")
+    except TypeError:
+        exc = cls("boom", 1, 1)
+
+    def fail(*_args):
+        raise exc
+
+    monkeypatch.setattr(repro.cli, "_cmd_list", fail)
+    monkeypatch.setitem(jobs._COMPUTE, "lint", fail)
+    response = offline_response("lint", {"kernel": "lfk1"})
+    assert response.status == "error"
+    assert main(["list"]) == response.exit_code
+    assert "boom" in capsys.readouterr().err
