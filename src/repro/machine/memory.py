@@ -33,6 +33,9 @@ class MemorySystem:
             raise MemoryError_(f"size_words must be >= 0, got {size_words}")
         self.config = config
         self._words = np.zeros(size_words, dtype=np.float64)
+        self._refresh = config.refresh_enabled
+        self._period = config.refresh_period
+        self._duration = config.refresh_duration
 
     # ------------------------------------------------------------------
     # Functional storage
@@ -158,26 +161,23 @@ class MemorySystem:
     # Refresh timing
     # ------------------------------------------------------------------
 
-    def next_refresh_at(self, cycle: float) -> float:
-        """First refresh window starting at or after ``cycle``."""
-        period = self.config.refresh_period
-        return math.ceil(cycle / period) * period if cycle > 0 else 0.0
+    def stall_scalar_access(self, cycle: float) -> float:
+        """Delay a single access out of any refresh window (the one
+        definition of a window: ``duration`` cycles from each multiple
+        of the period)."""
+        if not self._refresh:
+            return cycle
+        window_start = math.floor(cycle / self._period) * self._period
+        if window_start <= cycle < window_start + self._duration:
+            return window_start + self._duration
+        return cycle
 
     def refresh_window_containing(self, cycle: float) -> tuple[float, float] | None:
         """The refresh window covering ``cycle``, if any."""
-        if not self.config.refresh_enabled:
+        end = self.stall_scalar_access(cycle)
+        if end == cycle:
             return None
-        period = self.config.refresh_period
-        duration = self.config.refresh_duration
-        window_start = math.floor(cycle / period) * period
-        if window_start <= cycle < window_start + duration:
-            return (window_start, window_start + duration)
-        return None
-
-    def stall_scalar_access(self, cycle: float) -> float:
-        """Delay a single access out of any refresh window."""
-        window = self.refresh_window_containing(cycle)
-        return window[1] if window else cycle
+        return (end - self._duration, end)
 
     def refresh_stall_for_stream(self, start: float, end: float) -> float:
         """Total refresh stall cycles for a stream active on [start, end).
@@ -187,10 +187,10 @@ class MemorySystem:
         push the stream across further refresh boundaries; the expansion
         is iterated to a fixed point.
         """
-        if not self.config.refresh_enabled or end <= start:
+        if not self._refresh or end <= start:
             return 0.0
-        period = self.config.refresh_period
-        duration = self.config.refresh_duration
+        period = self._period
+        duration = self._duration
         stall = 0.0
         # A stream starting inside a refresh window waits it out first.
         window = self.refresh_window_containing(start)
@@ -198,7 +198,8 @@ class MemorySystem:
             stall += window[1] - start
             boundary = window[0] + period
         else:
-            boundary = self.next_refresh_at(start)
+            # the first window opening at or after `start`
+            boundary = math.ceil(start / period) * period if start > 0 else 0.0
             if boundary == start:
                 boundary += period  # the window at `start` was handled
         effective_end = end + stall

@@ -157,6 +157,8 @@ class Simulator:
         n_instructions = len(program)
         cache = state.scalar_cache
         cycle_budget = self.config.cycle_budget
+        time_vector = model.time_vector_decoded
+        time_scalar = model.time_scalar_decoded
 
         # A/X-transformed code computes on nonsense values by design
         # (§3.6); suppress IEEE warnings for the whole run.
@@ -173,9 +175,9 @@ class Simulator:
                 d = decoded[pc]
                 taken = execute_decoded(d, regfile, memory, layout)
                 if d.is_vector:
-                    timing = model.time_vector_decoded(
+                    timing = time_vector(
                         state, d, vtimings[pc], pc, regfile.vl,
-                        record=record_trace,
+                        record_trace,
                     )
                     vector_count += 1
                     if d.is_vector_memory:
@@ -189,11 +191,8 @@ class Simulator:
                             word_address = (
                                 int(regfile.a[d.base_idx]) + d.offset
                             ) // 8
-                    timing = model.time_scalar_decoded(
-                        state, d, pc,
-                        branch_taken=taken,
-                        word_address=word_address,
-                        record=record_trace,
+                    timing = time_scalar(
+                        state, d, pc, taken, word_address, record_trace
                     )
                     scalar_count += 1
                 if record_trace:

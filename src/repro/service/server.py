@@ -778,6 +778,9 @@ class ServerThread:
         return list(self.server.endpoints) if self.server else []
 
     def stop(self, timeout: float = 30.0) -> None:
+        """Drain the server and join its thread; raises
+        :class:`ExperimentError` if it is still alive after ``timeout``
+        (a connected client holds the drain open) or died on an error."""
         if self.loop is not None and self.server is not None:
             try:
                 self.loop.call_soon_threadsafe(
@@ -786,6 +789,14 @@ class ServerThread:
             except RuntimeError:
                 pass  # loop already closed
         self.thread.join(timeout=timeout)
+        if self.thread.is_alive():
+            raise ExperimentError(
+                f"service did not stop within {timeout:g}s "
+                "(the drain is still waiting for clients to disconnect)"
+            )
+        if self._error is not None:
+            raise ExperimentError(f"service failed: {self._error}") \
+                from self._error
 
 
 def start_in_thread(config: ServiceConfig) -> ServerThread:

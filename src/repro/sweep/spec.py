@@ -99,13 +99,18 @@ class SweepTask:
 
     @property
     def key(self) -> str:
-        """Stable content key (same key => same deterministic result)."""
-        size = "" if self.n is None else f":n{self.n}"
-        mode = "" if self.mode == "run" else f":{self.mode}"
-        return (
-            f"{self.workload}{size}{mode}:"
-            f"{digest(self.options, self.config, self.rules)}"
-        )
+        """Stable content key (same key => same deterministic result),
+        digested once per (frozen) instance."""
+        key = self.__dict__.get("_key")
+        if key is None:
+            size = "" if self.n is None else f":n{self.n}"
+            mode = "" if self.mode == "run" else f":{self.mode}"
+            key = (
+                f"{self.workload}{size}{mode}:"
+                f"{digest(self.options, self.config, self.rules)}"
+            )
+            object.__setattr__(self, "_key", key)
+        return key
 
     @property
     def label(self) -> str:

@@ -203,3 +203,63 @@ class TestRunawayGuard:
             sim.run()
         assert excinfo.value.budget == "cycles"
         assert excinfo.value.limit == 50.0
+
+
+class TestPerRunConstants:
+    """Scalar issue, branch penalty and refresh come from the run's
+    machine, not from the C-240 defaults."""
+
+    CONFIG = MachineConfig(
+        scalar_issue_cycles=3,
+        branch_taken_penalty=5,
+        refresh_period=50,
+        refresh_duration=8,
+    )
+
+    def program(self):
+        b = AsmBuilder("constants")
+        data = b.data("arr", 16)
+        b.mov(Immediate(0), areg(0))
+        b.mov(Immediate(1), areg(1))
+        b.sload(b.mem(data, areg(0)), sreg(1))
+        b.compare_lt(areg(0), areg(1))
+        b.branch_true("over")
+        b.mov(Immediate(7), areg(2))  # skipped by the taken branch
+        b.label("over")
+        b.sload(b.mem(data, areg(0), 1), sreg(2))
+        return b.build()
+
+    def test_hand_computed_scalar_timing(self):
+        result = run_traced(self.program(), self.CONFIG)
+        points = [(t.pc, t.dispatch, t.start, t.complete)
+                  for t in result.trace]
+        assert points == [
+            # mov: issue 3 cycles each
+            (0, 0.0, 0.0, 3.0),
+            (1, 3.0, 3.0, 6.0),
+            # ld at cycle 6 falls in the refresh window [0, 8): it
+            # starts at 8, completes after the 4-cycle load latency,
+            # and frees the issue unit 3 cycles after its start
+            (2, 6.0, 8, 12.0),
+            (3, 11, 11, 14),
+            # the taken branch waits for the flag (14), issues for 3
+            # cycles and then costs the 5-cycle penalty
+            (4, 14, 14, 17),
+            # ld at 22 is outside any window: no stall
+            (6, 22, 22, 26.0),
+        ]
+        assert result.cycles == 26.0
+
+    def test_same_program_on_the_c240_defaults(self):
+        result = run_traced(self.program(), MachineConfig())
+        points = [(t.pc, t.start, t.complete) for t in result.trace]
+        assert points == [
+            (0, 0.0, 1.0),
+            (1, 1.0, 2.0),
+            # cycle 2 is inside the C-240's first window [0, 8) too
+            (2, 8, 12.0),
+            (3, 9, 10),
+            (4, 10, 11),
+            (6, 13, 17.0),
+        ]
+        assert result.cycles == 17.0

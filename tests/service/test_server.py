@@ -321,3 +321,43 @@ class TestDrain:
         thread.stop()
         assert not thread.thread.is_alive()
         assert not os.path.exists(sock)
+
+    def test_stop_with_idle_client_raises_instead_of_returning(self):
+        import time
+
+        from repro.errors import ExperimentError
+
+        thread = start_in_thread(
+            ServiceConfig(host="127.0.0.1", workers=1)
+        )
+        idle = ServiceClient(thread.endpoints[0])
+        try:
+            assert idle.ping()
+            started = time.monotonic()
+            with pytest.raises(ExperimentError, match="did not stop"):
+                thread.stop(timeout=0.5)
+            assert time.monotonic() - started < 1.5
+            assert thread.thread.is_alive()
+        finally:
+            idle.close()
+        thread.stop()
+        assert not thread.thread.is_alive()
+
+    def test_stop_surfaces_a_server_thread_failure(self, monkeypatch):
+        from repro.errors import ExperimentError
+        from repro.service.server import AnalysisServer
+
+        drained = AnalysisServer.wait_drained
+
+        async def fail_after_drain(server):
+            await drained(server)
+            raise RuntimeError("teardown failed")
+
+        monkeypatch.setattr(AnalysisServer, "wait_drained",
+                            fail_after_drain)
+        thread = start_in_thread(
+            ServiceConfig(host="127.0.0.1", workers=1)
+        )
+        with pytest.raises(ExperimentError, match="teardown failed"):
+            thread.stop(timeout=10.0)
+        assert not thread.thread.is_alive()
