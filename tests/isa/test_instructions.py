@@ -159,3 +159,29 @@ class TestSpec:
         assert str(vadd()) == "add.d v0,v1,v2"
         labeled = vadd().with_label("L7").with_comment("x")
         assert str(labeled) == "L7: add.d v0,v1,v2 ; x"
+
+
+class TestClassifiedOnce:
+    def test_classification_is_kept_on_the_instance(self):
+        instr = vadd()
+        assert instr.reads is instr.reads
+        assert instr.pipe is Pipe.ADD
+        assert "pipe" in vars(instr)
+
+    def test_identity_ignores_the_kept_classification(self):
+        fresh, classified = vadd(), vadd()
+        _ = (classified.is_vector, classified.reads, classified.pipe)
+        assert fresh == classified
+        assert hash(fresh) == hash(classified)
+        assert repr(fresh) == repr(classified)
+        assert str(fresh) == str(classified)
+
+    def test_replace_classifies_the_new_instance(self):
+        import dataclasses
+
+        scalar = Instruction("add", (sreg(0), sreg(1), sreg(2)),
+                             suffix="d")
+        assert not scalar.is_vector
+        vector = dataclasses.replace(scalar, operands=vadd().operands)
+        assert vector.is_vector and vector.pipe is Pipe.ADD
+        assert vector.with_label("L1").reads == vector.reads

@@ -39,6 +39,24 @@ class TestSweepTask:
         assert task.tag("variant") == "reuse"
         assert task.tag("missing", "x") == "x"
 
+    def test_key_is_digested_once_per_instance(self, monkeypatch):
+        import dataclasses
+
+        from repro.sweep import spec
+
+        calls = []
+        real = spec.digest
+        monkeypatch.setattr(
+            spec, "digest", lambda *v: calls.append(v) or real(*v)
+        )
+        task = SweepTask("lfk1")
+        assert task.key == task.key == SweepTask("lfk1").key
+        assert len(calls) == 2  # one per instance
+        sized = dataclasses.replace(task, n=64)
+        assert sized.key != task.key
+        assert sized == SweepTask("lfk1", n=64)
+        assert len(calls) == 3
+
 
 class TestSweepSpec:
     def test_expansion_order_is_workload_major(self):
