@@ -63,8 +63,8 @@ class Register:
     index: int = 0
 
     def __post_init__(self):
-        # registers key the simulator's per-cycle availability maps, so
-        # the (enum, int) hash is precomputed once
+        # registers key the analyses' register sets and maps, so the
+        # (enum, int) hash is precomputed once
         object.__setattr__(
             self, "_hash", hash((self.rclass, self.index))
         )

@@ -414,10 +414,10 @@ def _classify(
                 plan.vec_write_pos.setdefault(
                     d.dest_vec_idx, []
                 ).append(pos)
-                plan.mem_pos[pos] = ("ldv", addr, d.stride, vl)
+                plan.mem_pos[pos] = ("ldv", addr, d.mem_stride, vl)
             elif tag == T_ST_V:
                 read_vector(d.src_vec_idx, pos)
-                plan.mem_pos[pos] = ("stv", addr, d.stride, vl)
+                plan.mem_pos[pos] = ("stv", addr, d.mem_stride, vl)
             elif tag == T_LD_S:
                 plan.mem_pos[pos] = ("lds", addr, 0, 1)
                 slot = _spec_slot(d.dest_spec)

@@ -68,6 +68,26 @@ class TestThreadMode:
         finally:
             fleet.stop()
 
+    def test_stop_stops_every_replica_before_reporting_a_failure(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.service.server import ServerThread
+
+        fleet = Fleet(str(tmp_path), 2, mode="thread").start()
+        first = fleet.replicas["replica-0"].thread
+        real_stop = ServerThread.stop
+
+        def stop(thread, timeout=30.0):
+            real_stop(thread, timeout)
+            if thread is first:
+                raise ExperimentError("replica-0 did not stop")
+
+        monkeypatch.setattr(ServerThread, "stop", stop)
+        with pytest.raises(ExperimentError, match="replica-0"):
+            fleet.stop()
+        for replica in fleet.replicas.values():
+            assert not replica.thread.thread.is_alive()
+
     def test_partition_unknown_replica_is_an_error(self, tmp_path):
         fleet = Fleet(str(tmp_path), 1, mode="thread").start()
         try:
