@@ -1,23 +1,35 @@
-"""Functional (value-level) instruction semantics tests."""
+"""Functional (value-level) instruction semantics tests.
+
+Every instruction runs the way the simulator runs it: decoded once
+(:func:`decode_instruction`), then applied by :func:`execute_decoded`.
+"""
 
 import numpy as np
 import pytest
 
-from repro.errors import SimulationError
+from repro.analysis import predict_program
+from repro.errors import AnalysisError, IsaError, SimulationError
 from repro.isa import (
-    AsmBuilder,
     Immediate,
     Instruction,
     LabelRef,
     MemRef,
+    Program,
     areg,
     sreg,
     vreg,
     VL,
+    VM,
 )
 from repro.isa.program import DataLayout
-from repro.machine import MachineConfig, MemorySystem, RegisterFile
-from repro.machine.semantics import effective_address, execute_instruction
+from repro.machine import (
+    DEFAULT_CONFIG,
+    MachineConfig,
+    MemorySystem,
+    RegisterFile,
+    Simulator,
+)
+from repro.machine.semantics import decode_instruction, execute_decoded
 
 
 @pytest.fixture
@@ -30,8 +42,10 @@ def env():
 
 
 def run(instr, env):
+    """Decode and execute one instruction; True when a branch is taken."""
     regfile, memory, layout = env
-    return execute_instruction(instr, regfile, memory, layout)
+    decoded = decode_instruction(instr, layout)
+    return execute_decoded(decoded, regfile, memory, layout)
 
 
 class TestScalarOps:
@@ -103,14 +117,14 @@ class TestCompareBranch:
         taken = run(
             Instruction("jbrs", (LabelRef("L"),), suffix="t"), env
         )
-        assert taken == "L"
+        assert taken is True
         not_taken = run(
             Instruction("jbrs", (LabelRef("L"),), suffix="f"), env
         )
-        assert not_taken is None
+        assert not_taken is False
 
     def test_unconditional_jump(self, env):
-        assert run(Instruction("jbr", (LabelRef("X"),)), env) == "X"
+        assert run(Instruction("jbr", (LabelRef("X"),)), env) is True
 
 
 class TestMemoryOps:
@@ -134,8 +148,13 @@ class TestMemoryOps:
 
     def test_symbol_resolution(self, env):
         regfile, memory, layout = env
-        mem = MemRef(areg(0), 8, "x")
-        assert effective_address(mem, regfile, layout) == 8
+        layout.allocate("y", 4)  # placed after x's 64 words
+        load_x = Instruction("ld", (MemRef(areg(0), 8, "x"), sreg(0)),
+                             suffix="l")
+        load_y = Instruction("ld", (MemRef(areg(0), 8, "y"), sreg(0)),
+                             suffix="l")
+        assert decode_instruction(load_x, layout).offset == 8
+        assert decode_instruction(load_y, layout).offset == 64 * 8 + 8
 
     def test_vector_load_uses_vl(self, env):
         regfile, memory, layout = env
@@ -202,6 +221,59 @@ class TestVectorArithmetic:
         regfile.vl = 3
         run(Instruction("sum", (vreg(0), sreg(3)), suffix="d"), env)
         assert regfile.read(sreg(3)) == 3.0
+
+
+#: Well-formed instructions that have no execution semantics: each
+#: must fault in the simulator and keep the static tier off "exact".
+UNDECODABLE = {
+    "vm-operand": Instruction("mov", (Immediate(1), VM), suffix="w"),
+    "mov-vector-to-scalar": Instruction("mov", (vreg(0), sreg(0)),
+                                        suffix="l"),
+    "mov-scalar-to-vector": Instruction("mov", (sreg(0), vreg(0)),
+                                        suffix="l"),
+    "neg-mixed-files": Instruction("neg", (vreg(0), sreg(1)), suffix="d"),
+    "compare-on-vector": Instruction("lt", (vreg(0), sreg(0)), suffix="w"),
+    "ld-non-register": Instruction("ld", (MemRef(areg(0)), Immediate(1)),
+                                   suffix="l"),
+    "st-non-register": Instruction("st", (Immediate(1), MemRef(areg(0))),
+                                   suffix="l"),
+}
+
+#: Forms that touch a vector register but whose opcode has no vector
+#: timing entry: a whole run (simulated or static) rejects the program
+#: when it resolves the timing table, before the first instruction.
+UNTIMED = {"mov-vector-to-scalar", "mov-scalar-to-vector",
+           "compare-on-vector"}
+
+
+def _program(instr):
+    layout = DataLayout()
+    layout.allocate("x", 64)
+    return Program([instr], layout, name="undecodable")
+
+
+@pytest.mark.parametrize("form", sorted(UNDECODABLE))
+class TestUndecodableForms:
+    def test_execute_raises(self, env, form):
+        with pytest.raises(SimulationError):
+            run(UNDECODABLE[form], env)
+
+    def test_simulator_raises(self, form):
+        error = IsaError if form in UNTIMED else SimulationError
+        with pytest.raises(error):
+            Simulator(_program(UNDECODABLE[form])).run()
+
+    def test_static_tier_is_not_exact(self, form):
+        program = _program(UNDECODABLE[form])
+        if form in UNTIMED:
+            with pytest.raises(IsaError):
+                predict_program(program, DEFAULT_CONFIG)
+            return
+        try:
+            prediction = predict_program(program, DEFAULT_CONFIG)
+        except AnalysisError:
+            return  # declined, and no trip profile for the model tier
+        assert not prediction.exact
 
 
 class TestRegisterFile:
