@@ -11,15 +11,20 @@ The engine rests on one structural fact about the C-240 timing model:
 branch directions, and VL at each vector instruction), never vector
 *data*.  A walker that resolves control flow exactly can therefore
 drive the real timing model and reproduce the simulator's cycles bit
-for bit.  Control flow in the compiled kernels is scalar-register
-arithmetic over known inputs, so the walker tracks an abstraction of
-the scalar machine:
+for bit.  It does so on the simulator's own run loop
+(:func:`~repro.machine.simulator.run_loop`): the walker replaces
+``execute_decoded`` with an abstract step over the same decoded
+records, and the loop times and counts every instruction exactly as a
+simulator run does.  Control flow in the compiled kernels is
+scalar-register arithmetic over known inputs, so the walker tracks an
+abstraction of the scalar machine:
 
 * **a/s/VS registers** — concrete Python ``int``/``float`` values, or
   TOP (data-dependent: loaded from unknown memory, read out of a
-  vector, or a ``sum`` reduction).  Scalar float arithmetic mirrors
-  ``execute_decoded`` operation for operation, so concrete values are
-  bit-identical to the interpreter's.
+  vector, or a ``sum`` reduction).  Scalar float arithmetic performs
+  ``execute_decoded``'s operations in the same order on the same
+  Python types, so concrete values are bit-identical to the
+  interpreter's.
 * **VL** — always concrete (the strip-mine protocol writes it from
   trip counters); a write from TOP aborts the exact tier.
 * **flag** — concrete ``bool`` or TOP; a conditional branch on TOP
@@ -38,12 +43,13 @@ trip count and the analytic-shift or replay timing advance are thus
 the simulator's own code, differentially tested against pure
 interpretation.
 
-When a proof obligation fails (a data-dependent branch, a ``T_LEGACY``
-instruction, the scalar-cache model), prediction falls back to the
-**model tier**: :func:`~repro.analysis.counts.estimate_counts` for the
-vector counters and :func:`~repro.analysis.critpath.critical_path` for
-a MACS-style cycle bound, published with a deliberately wide
-confidence interval (see :data:`MODEL_TIER_WIDEN`).
+When a proof obligation fails (a data-dependent branch, an instruction
+with no execution semantics, the scalar-cache model), prediction falls
+back to the **model tier**:
+:func:`~repro.analysis.counts.estimate_counts` for the vector counters
+and :func:`~repro.analysis.critpath.critical_path` for a MACS-style
+cycle bound, published with a deliberately wide confidence interval
+(see :data:`MODEL_TIER_WIDEN`).
 """
 
 from __future__ import annotations
@@ -74,7 +80,6 @@ from ..machine.semantics import (
     T_CMP,
     T_LD_S,
     T_LD_V,
-    T_LEGACY,
     T_MOV,
     T_MOV_VV,
     T_NEG_S,
@@ -85,12 +90,9 @@ from ..machine.semantics import (
     DecodedInstruction,
     decode_program,
 )
+from ..machine.simulator import DEFAULT_MAX_INSTRUCTIONS, run_loop
 from ..resilience import faults as _faults
-from ..resilience import watchdog
 from ..schedule.chimes import ChimeRules, refresh_factor_for
-
-#: Mirror of the simulator's runaway guard.
-DEFAULT_MAX_INSTRUCTIONS = 5_000_000
 
 #: Documented confidence-interval widening factor for the model tier:
 #: the chime critical path is an optimistic MACS-style bound, so the
@@ -100,7 +102,6 @@ DEFAULT_MAX_INSTRUCTIONS = 5_000_000
 MODEL_TIER_WIDEN = 4.0
 
 __all__ = [
-    "DEFAULT_MAX_INSTRUCTIONS",
     "MODEL_TIER_WIDEN",
     "StaticPrediction",
     "predict_program",
@@ -187,15 +188,17 @@ class StaticPrediction:
 
 
 class _Walker(LoopMonitor):
-    """Abstract interpreter driving the real timing model.
+    """Abstract scalar machine state for the simulator's run loop.
 
-    TOP is represented as ``None`` in the register lists and as an
-    absent key in the memory map.  All mirror arithmetic happens on
-    the same Python ``int``/``float`` types as ``execute_decoded``.
-    Loops are summarized by the fast path's :class:`LoopMonitor`; the
-    walker supplies its head state (NaN for TOP) and a value side that
-    advances affine registers, sets the rest to TOP, and forgets the
-    known words the skipped stores may overwrite.
+    :func:`predict_program` passes the walker to
+    :func:`~repro.machine.simulator.run_loop` as both the register
+    state stepped by :func:`_abstract_step` and the loop monitor.  TOP
+    is represented as ``None`` in the register lists and as an absent
+    key in the memory map.  Loops are summarized by the fast path's
+    :class:`LoopMonitor`; the walker supplies its head state (NaN for
+    TOP) and a value side that advances affine registers, sets the rest
+    to TOP, and forgets the known words the skipped stores may
+    overwrite.
     """
 
     def __init__(
@@ -209,20 +212,13 @@ class _Walker(LoopMonitor):
             # Scalar-cache hit/miss timing depends on every scalar
             # load address; unknown addresses would poison the clock.
             raise _Bail("scalar-cache-enabled")
-        self.program = program
-        self.config = config
         self.size_words = program.layout.total_words
         model = TimingModel(config, MemorySystem(self.size_words, config))
         super().__init__(
             decode_program(program), model, PipelineState(config),
             FastPathStats(), max_instructions,
         )
-        timings = config.timings
-        self.vtimings = tuple(
-            timings.lookup(d.timing_key) if d.is_vector else None
-            for d in self.decoded
-        )
-        # -- abstract architectural state (RegisterFile reset mirror) --
+        # -- abstract architectural state, as a reset RegisterFile ----
         from ..isa.registers import (
             NUM_ADDRESS_REGISTERS,
             NUM_SCALAR_REGISTERS,
@@ -235,18 +231,11 @@ class _Walker(LoopMonitor):
         self.vs: int | None = 1
         self.flag: bool | None = False
         self.mem: dict[int, float] = dict(known_memory or {})
-        # -- counters (simulator run-loop mirror) ----------------------
-        self.executed = 0
-        self.vector_count = 0
-        self.scalar_count = 0
-        self.vector_memory = 0
-        self.scalar_memory = 0
-        self.flops = 0
 
-    # -- abstract scalar semantics (execute_decoded mirror) ------------
+    # -- abstract scalar semantics (execute_decoded over TOP) ----------
 
     def _fetch(self, spec: Any) -> int | float | None:
-        """Raw scalar operand (mirror of ``fetch_scalar``)."""
+        """Raw scalar operand, as ``fetch_scalar`` reads it."""
         kind, payload = spec
         if kind == K_IMM:
             return payload  # int or float exactly as decoded
@@ -259,12 +248,12 @@ class _Walker(LoopMonitor):
         return self.vs
 
     def _fetch_float(self, spec: Any) -> float | None:
-        """Floated ALU operand (mirror of ``_fetch_float``)."""
+        """Floated ALU operand."""
         value = self._fetch(spec)
         return None if value is None else float(value)
 
     def _write(self, spec: Any, value: int | float | None) -> None:
-        """Scalar register write (mirror of ``write_scalar``)."""
+        """Scalar register write, converted as ``write_scalar`` does."""
         kind, payload = spec
         if kind == K_A:
             self.a[payload] = None if value is None else int(value)
@@ -292,144 +281,6 @@ class _Walker(LoopMonitor):
             count > 0 and not 0 <= last < size
         ):
             raise _Bail("memory-fault")
-
-    def _step(self, d: DecodedInstruction) -> bool:
-        """Abstractly execute one instruction; returns branch-taken."""
-        tag = d.tag
-        if tag == T_ALU:
-            if d.dest_vec_idx is not None:
-                return False  # vector result: no scalar state touched
-            if d.lhs_spec[0] == "v" or d.rhs_spec[0] == "v":
-                self._write(d.dest_spec, None)  # flat[0] of vector data
-                return False
-            lhs = self._fetch_float(d.lhs_spec)
-            rhs = self._fetch_float(d.rhs_spec)
-            if lhs is None or rhs is None:
-                self._write(d.dest_spec, None)
-                return False
-            op = d.alu_op
-            if op == OP_ADD:
-                result = lhs + rhs
-            elif op == OP_MUL:
-                result = lhs * rhs
-            elif op == OP_DIV:
-                if rhs == 0.0:
-                    raise _Bail("scalar-divide-by-zero")
-                result = lhs / rhs
-            else:
-                result = lhs - rhs
-            self._write(d.dest_spec, float(result))
-            return False
-        if tag == T_LD_V or tag == T_ST_V:
-            address = self._address(d)
-            if address is not None:
-                self._check_access(address, d.mem_stride, self.vl)
-            return False  # vector data; timing needs no address
-        if tag == T_MOV_VV or tag == T_NEG_V:
-            return False  # pure vector data
-        if tag == T_LD_S:
-            address = self._address(d)
-            if address is None:
-                self._write(d.dest_spec, None)
-                return False
-            self._check_access(address, 0, 1)
-            self._write(d.dest_spec, self.mem.get(address // 8))
-            return False
-        if tag == T_ST_S:
-            address = self._address(d)
-            if address is None:
-                # unknown destination: every known word is suspect
-                self.mem.clear()
-                return False
-            self._check_access(address, 0, 1)
-            value = self._fetch(d.src_spec)
-            word = address // 8
-            if value is None:
-                self.mem.pop(word, None)
-            else:
-                self.mem[word] = float(value)
-            return False
-        if tag == T_MOV:
-            self._write(d.dest_spec, self._fetch(d.src_spec))
-            return False
-        if tag == T_CMP:
-            lhs = self._fetch(d.lhs_spec)
-            rhs = self._fetch(d.rhs_spec)
-            if lhs is None or rhs is None:
-                self.flag = None
-            elif d.cmp_op == CMP_LT:
-                self.flag = lhs < rhs
-            elif d.cmp_op == CMP_LE:
-                self.flag = lhs <= rhs
-            else:
-                self.flag = lhs == rhs
-            return False
-        if tag == T_BRS:
-            if self.flag is None:
-                raise _Bail("branch-on-unknown-flag")
-            return self.flag if d.branch_sense else not self.flag
-        if tag == T_BR:
-            return True
-        if tag == T_SUM:
-            self.s[d.dest_spec[1]] = None  # data-dependent reduction
-            return False
-        if tag == T_NEG_S:
-            value = self._fetch(d.src_spec)
-            self._write(d.dest_spec, None if value is None else -value)
-            return False
-        if tag == T_LEGACY:
-            raise _Bail("legacy-instruction")
-        return False
-
-    # -- the run loop (Simulator.run mirror) ---------------------------
-
-    def run(self) -> None:
-        program = self.program
-        decoded = self.decoded
-        state = self.state
-        vtimings = self.vtimings
-        cycle_budget = self.config.cycle_budget
-        time_vector = self.model.time_vector_decoded
-        time_scalar = self.model.time_scalar_decoded
-        n_instructions = len(program)
-        pc = 0
-        while 0 <= pc < n_instructions:
-            if self.executed >= self.max_instructions:
-                watchdog.check_instructions(
-                    self.executed, self.max_instructions, program.name
-                )
-            if cycle_budget is not None:
-                watchdog.check_cycles(
-                    state.issue_clock, cycle_budget, program.name
-                )
-            d = decoded[pc]
-            taken = self._step(d)
-            if d.is_vector:
-                time_vector(state, d, vtimings[pc], pc, self.vl, False)
-                self.vector_count += 1
-                if d.is_vector_memory:
-                    self.vector_memory += 1
-                self.flops += d.flop_count * self.vl
-            else:
-                if d.is_scalar_memory:
-                    self.scalar_memory += 1
-                time_scalar(state, d, pc, taken, None, False)
-                self.scalar_count += 1
-            self.executed += 1
-            if taken:
-                skip = self.on_branch(pc, True, self.executed)
-                if skip is not None:
-                    self.executed += skip.instructions
-                    self.vector_count += skip.vector_instructions
-                    self.scalar_count += skip.scalar_instructions
-                    self.vector_memory += skip.vector_memory
-                    self.scalar_memory += skip.scalar_memory
-                    self.flops += skip.flops
-                pc = d.target_pc
-            else:
-                if d.is_branch:
-                    self.on_branch(pc, False, self.executed)
-                pc += 1
 
     # -- the loop monitor's head state and value side -------------------
 
@@ -527,6 +378,98 @@ class _Walker(LoopMonitor):
                     if hit:
                         del self.mem[word]
                         break
+
+
+def _abstract_step(
+    d: DecodedInstruction, w: _Walker, memory: None, layout: Any
+) -> bool:
+    """Abstractly execute one instruction on walker ``w``; returns
+    branch-taken.  The run loop's step, in place of ``execute_decoded``:
+    vector data is never computed and ``w.mem`` stands for memory."""
+    tag = d.tag
+    if tag == T_ALU:
+        if d.dest_vec_idx is not None:
+            return False  # vector result: no scalar state touched
+        if d.lhs_spec[0] == "v" or d.rhs_spec[0] == "v":
+            w._write(d.dest_spec, None)  # flat[0] of vector data
+            return False
+        lhs = w._fetch_float(d.lhs_spec)
+        rhs = w._fetch_float(d.rhs_spec)
+        if lhs is None or rhs is None:
+            w._write(d.dest_spec, None)
+            return False
+        op = d.alu_op
+        if op == OP_ADD:
+            result = lhs + rhs
+        elif op == OP_MUL:
+            result = lhs * rhs
+        elif op == OP_DIV:
+            if rhs == 0.0:
+                raise _Bail("scalar-divide-by-zero")
+            result = lhs / rhs
+        else:
+            result = lhs - rhs
+        w._write(d.dest_spec, float(result))
+        return False
+    if tag == T_LD_V or tag == T_ST_V:
+        address = w._address(d)
+        if address is not None:
+            w._check_access(address, d.mem_stride, w.vl)
+        return False  # vector data; timing needs no address
+    if tag == T_MOV_VV or tag == T_NEG_V:
+        return False  # pure vector data
+    if tag == T_LD_S:
+        address = w._address(d)
+        if address is None:
+            w._write(d.dest_spec, None)
+            return False
+        w._check_access(address, 0, 1)
+        w._write(d.dest_spec, w.mem.get(address // 8))
+        return False
+    if tag == T_ST_S:
+        address = w._address(d)
+        if address is None:
+            # unknown destination: every known word is suspect
+            w.mem.clear()
+            return False
+        w._check_access(address, 0, 1)
+        value = w._fetch(d.src_spec)
+        word = address // 8
+        if value is None:
+            w.mem.pop(word, None)
+        else:
+            w.mem[word] = float(value)
+        return False
+    if tag == T_MOV:
+        w._write(d.dest_spec, w._fetch(d.src_spec))
+        return False
+    if tag == T_CMP:
+        lhs = w._fetch(d.lhs_spec)
+        rhs = w._fetch(d.rhs_spec)
+        if lhs is None or rhs is None:
+            w.flag = None
+        elif d.cmp_op == CMP_LT:
+            w.flag = lhs < rhs
+        elif d.cmp_op == CMP_LE:
+            w.flag = lhs <= rhs
+        else:
+            w.flag = lhs == rhs
+        return False
+    if tag == T_BRS:
+        if w.flag is None:
+            raise _Bail("branch-on-unknown-flag")
+        return w.flag if d.branch_sense else not w.flag
+    if tag == T_BR:
+        return True
+    if tag == T_SUM:
+        w.s[d.dest_spec[1]] = None  # data-dependent reduction
+        return False
+    if tag == T_NEG_S:
+        value = w._fetch(d.src_spec)
+        w._write(d.dest_spec, None if value is None else -value)
+        return False
+    # T_INVALID: the simulator raises SimulationError here
+    raise _Bail("invalid-instruction")
 
 
 # ----------------------------------------------------------------------
@@ -638,7 +581,11 @@ def predict_program(
     """
     try:
         walker = _Walker(program, config, known_memory, max_instructions)
-        walker.run()
+        (executed, vector_count, scalar_count, vector_memory,
+         scalar_memory, flops) = run_loop(
+            program, _abstract_step, walker, None, program.layout,
+            walker, walker.state, walker.model, max_instructions,
+        )
     except _Bail as bail:
         return _model_tier(program, config, trips, bail.reason)
     state = walker.state
@@ -655,12 +602,12 @@ def predict_program(
         cycles=cycles,
         cycles_low=cycles,
         cycles_high=cycles,
-        instructions_executed=walker.executed,
-        vector_instructions=walker.vector_count,
-        scalar_instructions=walker.scalar_count,
-        vector_memory_ops=walker.vector_memory,
-        scalar_memory_ops=walker.scalar_memory,
-        flops=walker.flops,
+        instructions_executed=executed,
+        vector_instructions=vector_count,
+        scalar_instructions=scalar_count,
+        vector_memory_ops=vector_memory,
+        scalar_memory_ops=scalar_memory,
+        flops=flops,
         loops_summarized=walker.stats.engagements,
         iterations_skipped=walker.stats.iterations_skipped,
     )

@@ -5,10 +5,20 @@ value-level execution lets the test suite check the compiler against
 NumPy reference implementations of the kernels, exactly as one would
 validate generated code against the source program on real hardware.
 
-:func:`execute_instruction` applies one instruction to a
+Executing an instruction has one definition.  :func:`decode_program`
+lowers each instruction once per program into a slot record
+(:class:`DecodedInstruction`): the instruction's own classification
+plus resolved operand locators, memory offsets, branch targets and
+timing register slots.  :func:`execute_decoded` applies one record to a
 :class:`~repro.machine.state.RegisterFile` and
-:class:`~repro.machine.memory.MemorySystem` and returns the branch
-outcome (taken target label or None).
+:class:`~repro.machine.memory.MemorySystem` and returns whether a
+branch is taken.  The static tier's walker steps the same records over
+abstract state.
+
+A well-formed instruction with no execution semantics (a VM operand, a
+``mov`` or ``neg`` across the vector and scalar files, a compare on a
+vector register, a non-register ``ld``/``st`` operand) decodes to
+:data:`T_INVALID`; executing it raises :class:`SimulationError`.
 """
 
 from __future__ import annotations
@@ -18,204 +28,12 @@ import numpy as np
 from .. import memo
 from ..errors import SimulationError
 from ..isa.instructions import Instruction, OpClass
-from ..isa.operands import Immediate, LabelRef, MemRef, Operand
+from ..isa.operands import Immediate, Operand
 from ..isa.program import DataLayout
 from ..isa.registers import Register, RegisterClass
 from .memory import MemorySystem
 from .state import RegisterFile
 
-
-def effective_address(
-    mem: MemRef, regfile: RegisterFile, layout: DataLayout
-) -> int:
-    """Byte address of a memory operand: symbol base + disp + base reg."""
-    address = regfile.read(mem.base) + mem.displacement
-    if mem.symbol is not None:
-        address += layout.lookup(mem.symbol).offset_bytes
-    return int(address)
-
-
-def _scalar_value(
-    operand: Operand, regfile: RegisterFile
-) -> float | int:
-    if isinstance(operand, Immediate):
-        return operand.value
-    if isinstance(operand, Register):
-        return regfile.read(operand)
-    raise SimulationError(f"operand {operand} has no scalar value")
-
-
-def _vector_or_scalar(
-    operand: Operand, regfile: RegisterFile
-) -> np.ndarray | float:
-    """Fetch an ALU input: vector elements, or a scalar to broadcast."""
-    if isinstance(operand, Register) and operand.is_vector:
-        return regfile.read_vector(operand)
-    return float(_scalar_value(operand, regfile))
-
-
-def _alu(instr: Instruction, lhs, rhs) -> np.ndarray | float:
-    mnemonic = instr.mnemonic
-    if mnemonic == "add":
-        return lhs + rhs
-    if mnemonic == "sub":
-        return lhs - rhs
-    if mnemonic == "mul":
-        return lhs * rhs
-    if mnemonic == "div":
-        return lhs / rhs
-    raise SimulationError(f"no ALU semantics for {mnemonic}")
-
-
-def _execute_memory(
-    instr: Instruction,
-    regfile: RegisterFile,
-    memory: MemorySystem,
-    layout: DataLayout,
-) -> None:
-    mem = instr.memory_operand
-    assert mem is not None
-    address = effective_address(mem, regfile, layout)
-    if instr.mnemonic == "ld":
-        dest = instr.operands[1]
-        if not isinstance(dest, Register):
-            raise SimulationError(f"ld destination {dest} is not a register")
-        if dest.is_vector:
-            values = memory.read_vector(address, mem.stride_words, regfile.vl)
-            regfile.write_vector(dest, values)
-        else:
-            regfile.write(dest, memory.read_word(address))
-    else:  # st
-        src = instr.operands[0]
-        if not isinstance(src, Register):
-            raise SimulationError(f"st source {src} is not a register")
-        if src.is_vector:
-            memory.write_vector(
-                address, mem.stride_words, regfile.read_vector(src)
-            )
-        else:
-            memory.write_word(address, float(regfile.read(src)))
-
-
-def _execute_arithmetic(instr: Instruction, regfile: RegisterFile) -> None:
-    dest = instr.destination
-    if not isinstance(dest, Register):
-        raise SimulationError(f"{instr} has no register destination")
-    if len(instr.operands) == 3:
-        lhs = _vector_or_scalar(instr.operands[0], regfile)
-        rhs = _vector_or_scalar(instr.operands[1], regfile)
-    else:  # two-operand accumulate: dest is also the right-hand source
-        lhs = _vector_or_scalar(instr.operands[0], regfile)
-        rhs = _vector_or_scalar(dest, regfile)
-        if instr.mnemonic in ("sub", "div"):
-            # Convex accumulate forms compute dest := dest OP src.
-            lhs, rhs = rhs, lhs
-    result = _alu(instr, lhs, rhs)
-    if dest.is_vector:
-        if np.isscalar(result) or getattr(result, "ndim", 1) == 0:
-            result = np.full(regfile.vl, float(result))
-        regfile.write_vector(dest, np.asarray(result, dtype=np.float64))
-    else:
-        regfile.write(dest, float(np.asarray(result).flat[0])
-                      if hasattr(result, "flat") else float(result))
-
-
-def _execute_neg(instr: Instruction, regfile: RegisterFile) -> None:
-    src, dest = instr.operands
-    if not isinstance(src, Register) or not isinstance(dest, Register):
-        raise SimulationError(f"neg operands must be registers: {instr}")
-    if src.is_vector and dest.is_vector:
-        regfile.write_vector(dest, -regfile.read_vector(src))
-    elif not src.is_vector and not dest.is_vector:
-        regfile.write(dest, -regfile.read(src))
-    else:
-        raise SimulationError(f"neg cannot mix vector and scalar: {instr}")
-
-
-def _execute_sum(instr: Instruction, regfile: RegisterFile) -> None:
-    src, dest = instr.operands
-    if (
-        not isinstance(src, Register)
-        or not src.is_vector
-        or not isinstance(dest, Register)
-        or dest.rclass is not RegisterClass.SCALAR
-    ):
-        raise SimulationError(
-            f"sum expects vector source and scalar destination: {instr}"
-        )
-    regfile.write(dest, float(regfile.read_vector(src).sum()))
-
-
-def _execute_move(instr: Instruction, regfile: RegisterFile) -> None:
-    src, dest = instr.operands
-    if not isinstance(dest, Register):
-        raise SimulationError(f"mov destination must be a register: {instr}")
-    if isinstance(src, Register) and src.is_vector and dest.is_vector:
-        regfile.write_vector(dest, regfile.read_vector(src).copy())
-        return
-    regfile.write(dest, _scalar_value(src, regfile))
-
-
-def _execute_compare(instr: Instruction, regfile: RegisterFile) -> None:
-    lhs = _scalar_value(instr.operands[0], regfile)
-    rhs = _scalar_value(instr.operands[1], regfile)
-    if instr.mnemonic == "lt":
-        regfile.flag = lhs < rhs
-    elif instr.mnemonic == "le":
-        regfile.flag = lhs <= rhs
-    elif instr.mnemonic == "eq":
-        regfile.flag = lhs == rhs
-    else:
-        raise SimulationError(f"unknown compare {instr.mnemonic}")
-
-
-def branch_target(instr: Instruction, regfile: RegisterFile) -> str | None:
-    """Label the branch transfers to, or None for fall-through."""
-    target = instr.operands[0]
-    assert isinstance(target, LabelRef)
-    if instr.mnemonic == "jbr":
-        return target.name
-    # jbrs: conditional on the test flag; suffix selects the sense.
-    taken = regfile.flag if instr.suffix == "t" else not regfile.flag
-    return target.name if taken else None
-
-
-def execute_instruction(
-    instr: Instruction,
-    regfile: RegisterFile,
-    memory: MemorySystem,
-    layout: DataLayout,
-) -> str | None:
-    """Apply one instruction; return the taken branch label, if any."""
-    opclass = instr.spec.opclass
-    if opclass is OpClass.MEMORY:
-        _execute_memory(instr, regfile, memory, layout)
-    elif opclass is OpClass.REDUCTION:
-        _execute_sum(instr, regfile)
-    elif opclass is OpClass.MOVE:
-        _execute_move(instr, regfile)
-    elif opclass is OpClass.COMPARE:
-        _execute_compare(instr, regfile)
-    elif opclass is OpClass.BRANCH:
-        return branch_target(instr, regfile)
-    elif instr.mnemonic == "neg":
-        _execute_neg(instr, regfile)
-    else:
-        _execute_arithmetic(instr, regfile)
-    return None
-
-
-# ======================================================================
-# Decoded (pre-resolved) execution
-# ======================================================================
-#
-# :func:`decode_program` lowers each instruction once per program into
-# a plain slot record for the simulator's inner loop: the instruction's
-# own classification plus resolved operand locators, memory offsets,
-# branch targets and timing register slots.  :func:`execute_decoded`
-# applies exactly the same value semantics as :func:`execute_instruction`
-# — float operations and conversions mirrored operation for operation,
-# so the two paths are bit-for-bit identical.
 
 #: Execution dispatch tags.
 T_LD_V = 0
@@ -231,7 +49,7 @@ T_MOV = 9
 T_CMP = 10
 T_BR = 11
 T_BRS = 12
-T_LEGACY = 13  # anything decode does not specialize
+T_INVALID = 13  # a form with no execution semantics
 
 #: Scalar operand-location kinds (``(kind, payload)`` specs).
 K_IMM = 0
@@ -293,7 +111,7 @@ class DecodedInstruction:
         self.instr = instr
         for name in _CLASSIFICATION:
             setattr(self, name, getattr(instr, name))
-        self.tag = T_LEGACY
+        self.tag = T_INVALID
         self.scalar_reads = tuple(r for r in instr.reads if not r.is_vector)
         self.scalar_writes = tuple(r for r in instr.writes if not r.is_vector)
         self.read_slots = tuple(map(_slot, self.scalar_reads))
@@ -325,9 +143,9 @@ def _scalar_spec(operand: Operand, floated: bool = False):
     """``(kind, payload)`` locator for a scalar-valued operand.
 
     With ``floated`` the immediate payload is pre-converted to float,
-    matching ``_vector_or_scalar``'s ``float(...)`` wrap; otherwise the
-    raw value is kept, matching ``_scalar_value``.  A register locates
-    by file and index (0 for VL/VS).
+    as every ALU operand is; otherwise (moves, compares, stores) the
+    raw value is kept.  A register locates by file and index (0 for
+    VL/VS).
     """
     if isinstance(operand, Immediate):
         return (K_IMM, float(operand.value) if floated else operand.value)
@@ -337,7 +155,7 @@ def _scalar_spec(operand: Operand, floated: bool = False):
 
 
 def fetch_scalar(spec, regfile: RegisterFile):
-    """Raw scalar operand value (mirror of ``_scalar_value``)."""
+    """Raw scalar operand value: int for a/VL/VS, float for s."""
     kind, payload = spec
     if kind == K_IMM:
         return payload
@@ -351,7 +169,7 @@ def fetch_scalar(spec, regfile: RegisterFile):
 
 
 def _fetch_float(spec, regfile: RegisterFile) -> float:
-    """Floated scalar ALU operand (mirror of ``_vector_or_scalar``)."""
+    """Scalar ALU operand, as a float."""
     kind, payload = spec
     if kind == K_IMM:
         return payload  # pre-floated at decode time
@@ -365,7 +183,9 @@ def _fetch_float(spec, regfile: RegisterFile) -> float:
 
 
 def write_scalar(spec, regfile: RegisterFile, value) -> None:
-    """Scalar register write (mirror of ``RegisterFile.write``)."""
+    """Scalar register write, converted and clamped as
+    :meth:`RegisterFile.write <repro.machine.state.RegisterFile.write>`
+    does."""
     kind, payload = spec
     if kind == K_A:
         regfile.a[payload] = int(value)
@@ -389,7 +209,7 @@ def _decode_memory(d: DecodedInstruction, instr: Instruction,
     if instr.mnemonic == "ld":
         dest = instr.operands[1]
         if not isinstance(dest, Register):
-            return  # legacy path raises the proper error
+            return  # T_INVALID
         if dest.is_vector:
             d.tag = T_LD_V
             d.dest_vec_idx = dest.index
@@ -460,21 +280,14 @@ def _decode_scalar_unary(d: DecodedInstruction, tag: int,
 
 
 def decode_instruction(
-    instr: Instruction,
-    layout: DataLayout | None = None,
-    target_pc: int = -1,
+    instr: Instruction, layout: DataLayout, target_pc: int = -1
 ) -> DecodedInstruction:
-    """Build the decoded record for one instruction.
-
-    Without ``layout``, memory instructions keep the legacy execution
-    tag (symbol offsets cannot be resolved) but all classification /
-    timing fields are still valid.
-    """
+    """Build the decoded record for one instruction; ``layout``
+    resolves memory symbols and ``target_pc`` is a branch's target."""
     d = DecodedInstruction(instr)
     opclass = instr.spec.opclass
     if opclass is OpClass.MEMORY:
-        if layout is not None:
-            _decode_memory(d, instr, layout)
+        _decode_memory(d, instr, layout)
     elif opclass is OpClass.REDUCTION:
         src, dest = instr.operands
         if (
@@ -566,9 +379,10 @@ def execute_decoded(
 ) -> bool:
     """Apply one decoded instruction; return True when a branch is taken.
 
-    Value-for-value mirror of :func:`execute_instruction` — every float
-    operation and int/float conversion happens in the same order on the
-    same Python/NumPy types, so results are bit-for-bit identical.
+    Decode already resolved memory symbols against ``layout``; it is
+    still passed so that every step of the run loop
+    (:func:`repro.machine.simulator.run_loop`) has one signature.
+    Raises :class:`SimulationError` for a :data:`T_INVALID` record.
     """
     tag = d.tag
     if tag == T_ALU:
@@ -668,6 +482,4 @@ def execute_decoded(
             -fetch_scalar(d.src_spec, regfile),
         )
         return False
-    # Fallback: the reference interpreter (also raises the proper
-    # errors for malformed instructions).
-    return execute_instruction(d.instr, regfile, memory, layout) is not None
+    raise SimulationError(f"no execution semantics for {d.instr}")

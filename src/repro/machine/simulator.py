@@ -5,6 +5,13 @@ the timing model (:mod:`repro.machine.pipeline`): every executed
 instruction both updates architectural state and advances the pipeline
 clocks, so one run yields verified output values *and* a cycle count.
 
+:func:`run_loop` is the package's one run loop.  :meth:`Simulator.run`
+drives it with :func:`~repro.machine.semantics.execute_decoded` and the
+fast path's :class:`~repro.machine.fastpath.FastPathEngine`; the static
+tier (:func:`repro.analysis.predict_program`) drives it with an
+abstract step over the scalar machine, so both count and time
+instructions with the same code.
+
 This plays the role of the physical C-240 in the paper's methodology:
 ``t_p`` / ``t_a`` / ``t_x`` measurements and the calibration loops of
 §3.2–3.3 are all obtained by running (possibly transformed) assembly
@@ -13,7 +20,9 @@ here and reading ``SimulationResult.cycles``.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -23,10 +32,10 @@ from ..resilience import watchdog
 from ..sweep import telemetry
 from .cache import CacheStats
 from .config import DEFAULT_CONFIG, MachineConfig
-from .fastpath import FastPathEngine, FastPathStats
+from .fastpath import FastPathEngine, FastPathStats, LoopMonitor
 from .memory import MemorySystem
 from .pipeline import InstructionTiming, PipelineState, TimingModel
-from .semantics import decode_program, execute_decoded
+from .semantics import DecodedInstruction, decode_program, execute_decoded
 from .state import RegisterFile
 
 #: Default runaway guard (instruction executions, not cycles).
@@ -125,100 +134,35 @@ class Simulator:
         :class:`SimulationError` when an instruction faults.
         """
         program = self.program
-        regfile = self.regfile
-        memory = self.memory
-        layout = program.layout
-        state = PipelineState(self.config)
-        model = TimingModel(self.config, memory)
-        decoded = decode_program(program)
-        timings = self.config.timings
-        vtimings = tuple(
-            timings.lookup(d.timing_key) if d.is_vector else None
-            for d in decoded
-        )
-
+        config = self.config
+        state = PipelineState(config)
+        model = TimingModel(config, self.memory)
         fast = None
         stats = None
-        if self.config.fastpath and not record_trace:
+        if config.fastpath and not record_trace:
             stats = FastPathStats()
             fast = FastPathEngine(
-                decoded, model, state, regfile, memory, stats,
-                max_instructions,
+                decode_program(program), model, state, self.regfile,
+                self.memory, stats, max_instructions,
             )
-
         trace: list[InstructionTiming] = []
-        executed = 0
-        vector_count = 0
-        scalar_count = 0
-        vector_memory = 0
-        scalar_memory = 0
-        flops = 0
-        pc = 0
-        n_instructions = len(program)
-        cache = state.scalar_cache
-        cycle_budget = self.config.cycle_budget
-        time_vector = model.time_vector_decoded
-        time_scalar = model.time_scalar_decoded
 
         # A/X-transformed code computes on nonsense values by design
         # (§3.6); suppress IEEE warnings for the whole run.
         with np.errstate(all="ignore"):
-            while 0 <= pc < n_instructions:
-                if executed >= max_instructions:
-                    watchdog.check_instructions(
-                        executed, max_instructions, program.name
-                    )
-                if cycle_budget is not None:
-                    watchdog.check_cycles(
-                        state.issue_clock, cycle_budget, program.name
-                    )
-                d = decoded[pc]
-                taken = execute_decoded(d, regfile, memory, layout)
-                if d.is_vector:
-                    timing = time_vector(
-                        state, d, vtimings[pc], pc, regfile.vl,
-                        record_trace,
-                    )
-                    vector_count += 1
-                    if d.is_vector_memory:
-                        vector_memory += 1
-                    flops += d.flop_count * regfile.vl
-                else:
-                    word_address = None
-                    if d.is_scalar_memory:
-                        scalar_memory += 1
-                        if cache is not None:
-                            word_address = (
-                                int(regfile.a[d.base_idx]) + d.offset
-                            ) // 8
-                    timing = time_scalar(
-                        state, d, pc, taken, word_address, record_trace
-                    )
-                    scalar_count += 1
-                if record_trace:
-                    trace.append(timing)
-                executed += 1
-                if taken:
-                    if fast is not None:
-                        skip = fast.on_branch(pc, True, executed)
-                        if skip is not None:
-                            executed += skip.instructions
-                            vector_count += skip.vector_instructions
-                            scalar_count += skip.scalar_instructions
-                            vector_memory += skip.vector_memory
-                            scalar_memory += skip.scalar_memory
-                            flops += skip.flops
-                    pc = d.target_pc
-                else:
-                    if fast is not None and d.is_branch:
-                        fast.on_branch(pc, False, executed)
-                    pc += 1
+            (executed, vector_count, scalar_count, vector_memory,
+             scalar_memory, flops) = run_loop(
+                program, execute_decoded, self.regfile, self.memory,
+                program.layout, fast, state, model, max_instructions,
+                trace if record_trace else None,
+            )
 
+        cycles = state.finish_time()
         if telemetry.current() is not None:
             telemetry.record_counters(
                 {
                     "runs": 1,
-                    "cycles": state.finish_time(),
+                    "cycles": cycles,
                     "instructions": executed,
                     "vector_instructions": vector_count,
                     "scalar_instructions": scalar_count,
@@ -229,7 +173,7 @@ class Simulator:
             )
         return SimulationResult(
             program_name=program.name,
-            cycles=state.finish_time(),
+            cycles=cycles,
             instructions_executed=executed,
             vector_instructions=vector_count,
             scalar_instructions=scalar_count,
@@ -242,8 +186,106 @@ class Simulator:
                 if state.scalar_cache is not None else None
             ),
             fastpath=stats,
-            clock_period_ns=self.config.clock_period_ns,
+            clock_period_ns=config.clock_period_ns,
         )
+
+
+def run_loop(
+    program: Program,
+    step: Callable[[DecodedInstruction, Any, Any, Any], bool],
+    regs: Any,
+    memory: Any,
+    layout: Any,
+    monitor: LoopMonitor | None,
+    state: PipelineState,
+    model: TimingModel,
+    max_instructions: int,
+    trace: list[InstructionTiming] | None = None,
+) -> tuple[int, int, int, int, int, int]:
+    """Run ``program`` from its first instruction to fall-off.
+
+    The one run loop: ``step(d, regs, memory, layout)`` applies each
+    decoded instruction and returns whether a branch is taken; the loop
+    does the rest — the watchdog checks, vector and scalar timing on
+    ``state`` through ``model``, the counters, reporting each branch to
+    the loop ``monitor`` and counting the iterations it skips, and one
+    timing record per instruction when ``trace`` is a list.
+    :class:`Simulator` steps :func:`execute_decoded` over its register
+    file and memory; the static tier's walker steps abstract state and
+    is its own ``regs`` and ``monitor``.  ``regs`` provides ``vl`` and,
+    under the scalar-cache model, the address registers ``a``.
+
+    Returns (instructions, vector instructions, scalar instructions,
+    vector memory ops, scalar memory ops, flops).
+    """
+    decoded = decode_program(program)
+    config = state.config
+    timings = config.timings
+    vtimings = tuple(
+        timings.lookup(d.timing_key) if d.is_vector else None
+        for d in decoded
+    )
+    on_branch = monitor.on_branch if monitor is not None else None
+    record_trace = trace is not None
+    executed = 0
+    vector_count = 0
+    scalar_count = 0
+    vector_memory = 0
+    scalar_memory = 0
+    flops = 0
+    pc = 0
+    n_instructions = len(decoded)
+    cache = state.scalar_cache
+    cycle_budget = config.cycle_budget
+    time_vector = model.time_vector_decoded
+    time_scalar = model.time_scalar_decoded
+    name = program.name
+
+    while 0 <= pc < n_instructions:
+        if executed >= max_instructions:
+            watchdog.check_instructions(executed, max_instructions, name)
+        if cycle_budget is not None:
+            watchdog.check_cycles(state.issue_clock, cycle_budget, name)
+        d = decoded[pc]
+        taken = step(d, regs, memory, layout)
+        if d.is_vector:
+            timing = time_vector(
+                state, d, vtimings[pc], pc, regs.vl, record_trace
+            )
+            vector_count += 1
+            if d.is_vector_memory:
+                vector_memory += 1
+            flops += d.flop_count * regs.vl
+        else:
+            word_address = None
+            if d.is_scalar_memory:
+                scalar_memory += 1
+                if cache is not None:
+                    word_address = (int(regs.a[d.base_idx]) + d.offset) // 8
+            timing = time_scalar(
+                state, d, pc, taken, word_address, record_trace
+            )
+            scalar_count += 1
+        if trace is not None:
+            trace.append(timing)
+        executed += 1
+        if taken:
+            if on_branch is not None:
+                skip = on_branch(pc, True, executed)
+                if skip is not None:
+                    executed += skip.instructions
+                    vector_count += skip.vector_instructions
+                    scalar_count += skip.scalar_instructions
+                    vector_memory += skip.vector_memory
+                    scalar_memory += skip.scalar_memory
+                    flops += skip.flops
+            pc = d.target_pc
+        else:
+            if on_branch is not None and d.is_branch:
+                on_branch(pc, False, executed)
+            pc += 1
+    return (executed, vector_count, scalar_count, vector_memory,
+            scalar_memory, flops)
 
 
 def run_program(

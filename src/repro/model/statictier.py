@@ -26,8 +26,8 @@ from ..analysis.staticpred import StaticPrediction, predict_program
 from ..compiler import CompiledKernel, CompilerOptions, DEFAULT_OPTIONS
 from ..compiler.scalar import LITERALS_SYMBOL, SCALARS_SYMBOL
 from ..machine import DEFAULT_CONFIG, MachineConfig
-from ..units import cycles_per_vector_iteration
 from ..workloads.lfk import KernelSpec
+from ..workloads.runner import run_metrics
 from .advisor import Advice, advise
 from .hierarchy import KernelAnalysis, analyze_kernel
 
@@ -106,28 +106,7 @@ class StaticKernelPrediction:
 
     def metrics(self) -> dict[str, Any]:
         """The sweep scheduler's run-metrics schema, statically."""
-        prediction = self.prediction
-        cycles = prediction.cycles
-        if cycles > 0:
-            seconds = cycles * self.config.clock_period_ns * 1e-9
-            mflops = prediction.flops / seconds / 1e6
-        else:
-            mflops = 0.0
-        return {
-            "cycles": cycles,
-            "instructions": prediction.instructions_executed,
-            "vector_instructions": prediction.vector_instructions,
-            "scalar_instructions": prediction.scalar_instructions,
-            "vector_memory_ops": prediction.vector_memory_ops,
-            "scalar_memory_ops": prediction.scalar_memory_ops,
-            "flops": prediction.flops,
-            "cpl": self.cpl(),
-            "cpf": self.cpf(),
-            "cycles_per_vector_iteration": cycles_per_vector_iteration(
-                cycles, self.spec.inner_iterations, self.config.max_vl
-            ),
-            "mflops": mflops,
-        }
+        return run_metrics(self.spec, self.prediction, self.config)
 
     def to_payload(self) -> dict[str, Any]:
         """JSON-able service body for the ``advise`` request kind."""

@@ -183,23 +183,6 @@ class SweepResult:
 # Task execution (runs inline or inside a worker process)
 # ----------------------------------------------------------------------
 
-def _metrics_from_run(run) -> dict:
-    result = run.result
-    return {
-        "cycles": result.cycles,
-        "instructions": result.instructions_executed,
-        "vector_instructions": result.vector_instructions,
-        "scalar_instructions": result.scalar_instructions,
-        "vector_memory_ops": result.vector_memory_ops,
-        "scalar_memory_ops": result.scalar_memory_ops,
-        "flops": result.flops,
-        "cpl": run.cpl(),
-        "cpf": run.cpf(),
-        "cycles_per_vector_iteration": run.cycles_per_vector_iteration(),
-        "mflops": result.mflops,
-    }
-
-
 def _task_spec(task: SweepTask):
     from ..workloads import workload
     from ..workloads.runner import sized_spec
@@ -260,9 +243,10 @@ def compute_metrics(task: SweepTask) -> dict:
     spec = _task_spec(task)
     if task.mode == "run":
         from ..workloads import run_kernel
+        from ..workloads.runner import run_metrics
 
         run = run_kernel(spec, task.options, task.config)
-        return _metrics_from_run(run)
+        return run_metrics(spec, run.result, task.config)
     if task.mode == "bound":
         from ..model import macs_bound
         from ..schedule.chimes import ChimeRules, refresh_factor_for

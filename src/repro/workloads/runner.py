@@ -3,8 +3,9 @@
 Compiles a :class:`~repro.workloads.lfk.KernelSpec`, loads its input
 data and scalar parameters into a simulator, runs it, and normalizes
 the cycle count to the paper's units (CPL per vectorized-loop iteration
-at VL = 128, and CPF).  Also verifies the outputs against the kernel's
-NumPy reference when the compilation is functionally exact.
+at the machine's maximum VL, and CPF; see :func:`run_metrics`).  Also
+verifies the outputs against the kernel's NumPy reference when the
+compilation is functionally exact.
 
 Both :func:`compile_spec` and :func:`run_kernel` memoize: the paper's
 experiments re-run the same (kernel, options, config) triples dozens of
@@ -21,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -30,8 +32,11 @@ from ..errors import WorkloadError
 from ..machine import DEFAULT_CONFIG, MachineConfig, SimulationResult, Simulator
 from ..resilience import faults as _faults
 from ..sweep import telemetry
-from ..units import MAX_VL, cycles_per_vector_iteration
+from ..units import cycles_per_vector_iteration
 from .lfk import KernelSpec, kernel
+
+if TYPE_CHECKING:
+    from ..analysis.staticpred import StaticPrediction
 
 #: Compilation and whole-run memos.  Kernel sources are small and runs
 #: hold a few arrays each, so modest caps suffice.
@@ -85,12 +90,6 @@ class KernelRun:
     def cpl(self) -> float:
         """Cycles per source inner-loop iteration (the paper's CPL)."""
         return self.result.cycles / self.spec.inner_iterations
-
-    def cycles_per_vector_iteration(self) -> float:
-        """Cycles per 128-element vectorized iteration (CPL * VL)."""
-        return cycles_per_vector_iteration(
-            self.result.cycles, self.spec.inner_iterations, MAX_VL
-        )
 
     def cpf(self) -> float:
         """Cycles per source floating-point operation."""
@@ -242,6 +241,41 @@ def run_kernel(
     if key is not None:
         _RUN_CACHE.put(key, (run, verify))
     return run
+
+
+def run_metrics(
+    spec: KernelSpec,
+    result: SimulationResult | StaticPrediction,
+    config: MachineConfig,
+) -> dict[str, Any]:
+    """The run-metrics schema of one whole run of ``spec`` on ``config``.
+
+    ``result`` is a simulator run or a static prediction of one; the
+    sweep's ``run`` cells and the ``advise`` answers both report
+    through here.  Vector-iteration CPL counts ``config.max_vl`` source
+    iterations per vector iteration, as the ``bound`` cells do.
+    """
+    cycles = result.cycles
+    if cycles > 0:
+        seconds = cycles * config.clock_period_ns * 1e-9
+        mflops = result.flops / seconds / 1e6
+    else:
+        mflops = 0.0
+    return {
+        "cycles": cycles,
+        "instructions": result.instructions_executed,
+        "vector_instructions": result.vector_instructions,
+        "scalar_instructions": result.scalar_instructions,
+        "vector_memory_ops": result.vector_memory_ops,
+        "scalar_memory_ops": result.scalar_memory_ops,
+        "flops": result.flops,
+        "cpl": cycles / spec.inner_iterations,
+        "cpf": cycles / spec.total_flops,
+        "cycles_per_vector_iteration": cycles_per_vector_iteration(
+            cycles, spec.inner_iterations, config.max_vl
+        ),
+        "mflops": mflops,
+    }
 
 
 def run_is_cached(

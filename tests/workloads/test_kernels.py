@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
+from repro.machine import DEFAULT_CONFIG
 from repro.workloads import (
     CASE_STUDY_KERNELS,
     kernel,
     kernel_names,
     run_kernel,
 )
+from repro.workloads.runner import run_metrics
 
 
 class TestRegistry:
@@ -129,6 +131,7 @@ class TestRunnerEdgeCases:
 
     def test_cycles_per_vector_iteration(self, kernel_runs):
         run = kernel_runs["lfk1"]
-        assert run.cycles_per_vector_iteration() == pytest.approx(
+        metrics = run_metrics(run.spec, run.result, DEFAULT_CONFIG)
+        assert metrics["cycles_per_vector_iteration"] == pytest.approx(
             run.cpl() * 128
         )
